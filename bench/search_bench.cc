@@ -24,7 +24,6 @@
 #include <iostream>
 #include <new>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "annotate/corpus_annotator.h"
@@ -36,7 +35,6 @@
 #include "search/baseline_search.h"
 #include "search/corpus_index.h"
 #include "search/join_search.h"
-#include "search/parallel_search.h"
 #include "search/search_workspace.h"
 #include "search/type_relation_search.h"
 #include "search/type_search.h"
@@ -390,141 +388,77 @@ int main(int argc, char** argv) {
                 static_cast<double>(steady_queries)
           : 0.0;
 
-  // --- Parallel scatter-gather kernel (sharded intra-query execution) ---
-  // Bit-identity first: the merged scatter-gather ranking must equal
-  // the sequential kernel byte for byte — entities, display strings,
-  // and every double — on each query, engine, and shard count, both
-  // full-rank and pruned top-k.
-  const unsigned hardware_threads = std::thread::hardware_concurrency();
-  const bool multicore = hardware_threads >= 4;
-  const SelectEngineKind parallel_engines[] = {SelectEngineKind::kBaseline,
-                                               SelectEngineKind::kType,
-                                               SelectEngineKind::kTypeRelation};
-  // Pool sized one short of the fan-out: the bench thread runs shard 0
-  // itself, matching the serving layer's context sizing.
-  ParallelSearchContext pctx(/*max_shards=*/8, /*threads=*/7);
-  SearchWorkspace pws;
-  std::vector<SearchResult> pgot;
-  int64_t shard_tables_abandoned = 0;
-  for (int e = 0; e < 3; ++e) {
-    for (size_t i = 0; i < queries.size(); ++i) {
-      for (int shards : {2, 4, 8}) {
-        TopKOptions ptopk = topk;
-        ptopk.parallelism = shards;
-        engines[e].kernel(corpus, queries[i], normalized[i], topk, &ws,
-                          &got);
-        ParallelSelectSearch(parallel_engines[e], corpus, queries[i],
-                             normalized[i], ptopk, &pctx, &pws, &pgot);
-        CheckExact(pgot, got, "parallel pruned top-k");
-        shard_tables_abandoned += pws.stats().shard_tables_abandoned;
-        engines[e].kernel(corpus, queries[i], normalized[i], full_rank, &ws,
-                          &got);
-        TopKOptions pfull = full_rank;
-        pfull.parallelism = shards;
-        ParallelSelectSearch(parallel_engines[e], corpus, queries[i],
-                             normalized[i], pfull, &pctx, &pws, &pgot);
-        CheckExact(pgot, got, "parallel full rank");
-      }
-    }
-  }
-
-  // Scaling curve on the pruned top-10 mix: ms/query over the whole
-  // 3-engine sweep at 1/2/4/8 shards (1 shard dispatches the plain
-  // sequential kernel — the honest baseline, same workspace, same run).
-  const int shard_counts[] = {1, 2, 4, 8};
-  double parallel_ms[4] = {0, 0, 0, 0};
-  double parallel_allocs_per_query = 0.0;
-  for (int sc = 0; sc < 4; ++sc) {
-    TopKOptions ptopk = topk;
-    ptopk.parallelism = shard_counts[sc];
-    auto sweep = [&] {
-      for (int e = 0; e < 3; ++e) {
-        for (size_t i = 0; i < queries.size(); ++i) {
-          ParallelSelectSearch(parallel_engines[e], corpus, queries[i],
-                               normalized[i], ptopk, &pctx, &pws, &pgot);
-        }
-      }
-    };
-    sweep();  // warm: arenas, record buffers, pool threads
-    sweep();
-    if (shard_counts[sc] == 4) {
-      // Zero steady-state allocations must survive the parallel path:
-      // recording buffers, shard workspaces, task launches and the
-      // gather replay all reuse pooled storage after warmup.
-      const uint64_t before = g_allocations.load(std::memory_order_relaxed);
-      sweep();
-      parallel_allocs_per_query =
-          static_cast<double>(g_allocations.load(std::memory_order_relaxed) -
-                              before) /
-          static_cast<double>(3 * queries.size());
-    }
-    WallTimer timer;
-    for (int64_t rep = 0; rep < reps; ++rep) sweep();
-    parallel_ms[sc] = timer.ElapsedMillis() /
-                      static_cast<double>(reps * 3 * queries.size());
-  }
-  const double speedup_2shard =
-      parallel_ms[1] > 0 ? parallel_ms[0] / parallel_ms[1] : 0.0;
-  const double speedup_4shard =
-      parallel_ms[2] > 0 ? parallel_ms[0] / parallel_ms[2] : 0.0;
-  const double speedup_8shard =
-      parallel_ms[3] > 0 ? parallel_ms[0] / parallel_ms[3] : 0.0;
-
-  // --- Instrumentation overhead (paired quiet-floor configs) ---
-  // The same pruned top-k sweep over every select engine, timed per
+  // --- Instrumentation overhead (paired configs) ---
+  // The same pruned top-k query mix over every select engine, timed per
   // query under three configurations:
   //   on:      metrics enabled, explain off  (the serving default)
   //   off:     metrics disabled, explain off (the kill-switch floor)
   //   explain: metrics enabled, explain on   (the debugging mode)
-  // Scheduler stalls and frequency dips only ever inflate a sample, so
-  // the per-query minimum across passes recovers each configuration's
-  // quiet-floor cost; ratios of the summed floors then isolate the
-  // record path and the decision-log capture from machine noise. The
-  // visit order rotates per rep so no configuration systematically
-  // lands on a colder cache or busier scheduler slice.
+  // One call takes 5-50 us, too short to time alone against timer and
+  // scheduler jitter, so a sample is the mean of kOverheadBatch
+  // back-to-back calls of one query, taken after one untimed call that
+  // absorbs the cost of switching configuration. Each round samples the
+  // three configurations on the same query back to back, in an order
+  // that rotates per round. A stall inflates one side of one pair, and
+  // drift is shared by both sides, so the per-query median over rounds
+  // of the paired difference is robust to both; summed over queries and
+  // divided by the summed median cost of the lighter configuration, it
+  // gives the overhead fraction.
+  constexpr int kOverheadRounds = 15;  // a multiple of 3: equal turns first
+  constexpr int kOverheadBatch = 8;
   const size_t overhead_items = 3 * queries.size();
-  std::vector<double> on_best(overhead_items, 1e300);
-  std::vector<double> off_best(overhead_items, 1e300);
-  std::vector<double> explain_best(overhead_items, 1e300);
-  for (int rep = 0; rep < 9; ++rep) {
-    for (int slot = 0; slot < 3; ++slot) {
-      const int config = (slot + rep) % 3;
-      obs::MetricsRegistry::SetEnabled(config != 1);
-      ws.EnableExplain(config == 2);
-      std::vector<double>& best =
-          config == 0 ? on_best : config == 1 ? off_best : explain_best;
-      for (int e = 0; e < 3; ++e) {
-        for (size_t i = 0; i < queries.size(); ++i) {
-          WallTimer one;
-          engines[e].kernel(corpus, queries[i], normalized[i], topk, &ws,
-                            &got);
-          double& cell = best[e * queries.size() + i];
-          cell = std::min(cell, one.ElapsedMillis());
+  // samples[config][item * kOverheadRounds + round]: ms per call.
+  std::vector<double> samples[3];
+  for (std::vector<double>& s : samples) {
+    s.assign(overhead_items * kOverheadRounds, 0.0);
+  }
+  for (int round = 0; round < kOverheadRounds; ++round) {
+    for (size_t item = 0; item < overhead_items; ++item) {
+      const EngineCase& engine = engines[item / queries.size()];
+      const size_t i = item % queries.size();
+      for (int slot = 0; slot < 3; ++slot) {
+        const int config = (slot + round) % 3;
+        obs::MetricsRegistry::SetEnabled(config != 1);
+        ws.EnableExplain(config == 2);
+        engine.kernel(corpus, queries[i], normalized[i], topk, &ws, &got);
+        WallTimer batch;
+        for (int b = 0; b < kOverheadBatch; ++b) {
+          engine.kernel(corpus, queries[i], normalized[i], topk, &ws, &got);
         }
+        samples[config][item * kOverheadRounds + round] =
+            batch.ElapsedMillis() / kOverheadBatch;
       }
     }
   }
   obs::MetricsRegistry::SetEnabled(true);
   ws.EnableExplain(false);
-  double on_floor = 0.0, off_floor = 0.0, explain_floor = 0.0;
-  for (size_t i = 0; i < overhead_items; ++i) {
-    on_floor += on_best[i];
-    off_floor += off_best[i];
-    explain_floor += explain_best[i];
-  }
-  // The raw ratio can dip slightly below zero when the floors still
-  // carry residual noise — recording counters cannot make the kernel
-  // faster, so a negative value is measurement error, not a speedup.
-  // Report the clamped fraction (what the overhead actually is, down to
-  // the noise floor) alongside the raw value (how tight the floors
-  // were); a raw value far below zero fails the acceptance check
+  // Extra cost of config `with` over config `without`, as a fraction of
+  // the latter.
+  auto paired_overhead = [&](int with, int without) {
+    std::vector<double> diff(kOverheadRounds), cost(kOverheadRounds);
+    double extra = 0.0, base = 0.0;
+    for (size_t item = 0; item < overhead_items; ++item) {
+      for (int r = 0; r < kOverheadRounds; ++r) {
+        const size_t at = item * kOverheadRounds + r;
+        diff[r] = samples[with][at] - samples[without][at];
+        cost[r] = samples[without][at];
+      }
+      extra += Median(&diff);
+      base += Median(&cost);
+    }
+    return base > 0 ? extra / base : 0.0;
+  };
+  // The raw fraction can dip slightly below zero when the paired
+  // medians still carry residual noise — recording counters cannot make
+  // the kernel faster, so a negative value is measurement error, not a
+  // speedup. Report the clamped fraction (what the overhead actually
+  // is, down to the noise floor) alongside the raw value (how tight the
+  // pairing was); a raw value far below zero fails the acceptance check
   // instead of silently laundering a broken measurement through the
   // clamp.
-  const double metrics_overhead_raw =
-      off_floor > 0 ? on_floor / off_floor - 1.0 : 0.0;
+  const double metrics_overhead_raw = paired_overhead(0, 1);
   const double metrics_overhead = std::max(0.0, metrics_overhead_raw);
-  const double explain_overhead_raw =
-      on_floor > 0 ? explain_floor / on_floor - 1.0 : 0.0;
+  const double explain_overhead_raw = paired_overhead(2, 0);
   const double explain_overhead = std::max(0.0, explain_overhead_raw);
 
   // snprintf returns the would-be length: check after every append so
@@ -600,32 +534,6 @@ int main(int argc, char** argv) {
                      "  },\n",
                      batch_geomean);
   check_fits(n);
-  // Scatter-gather section. The speedup keys are always emitted (the
-  // bench_diff gate treats a missing key as a schema regression); the
-  // "multicore" flag says whether the runner could physically show
-  // scaling, and the >= 2x acceptance CHECK below only applies then.
-  n += std::snprintf(
-      buf + n, sizeof(buf) - n,
-      "  \"parallel_kernel\": {\n"
-      "    \"hardware_threads\": %u,\n"
-      "    \"multicore\": %s,\n"
-      "    \"byte_identical\": true,\n"
-      "    \"ms_per_query_1shard\": %.4f,\n"
-      "    \"ms_per_query_2shard\": %.4f,\n"
-      "    \"ms_per_query_4shard\": %.4f,\n"
-      "    \"ms_per_query_8shard\": %.4f,\n"
-      "    \"speedup_2shard\": %.2f,\n"
-      "    \"speedup_4shard\": %.2f,\n"
-      "    \"speedup_8shard\": %.2f,\n"
-      "    \"shard_tables_abandoned\": %lld,\n"
-      "    \"steady_state_allocations_per_query\": %.3f\n"
-      "  },\n",
-      hardware_threads, multicore ? "true" : "false", parallel_ms[0],
-      parallel_ms[1], parallel_ms[2], parallel_ms[3], speedup_2shard,
-      speedup_4shard, speedup_8shard,
-      static_cast<long long>(shard_tables_abandoned),
-      parallel_allocs_per_query);
-  check_fits(n);
   n += std::snprintf(buf + n, sizeof(buf) - n,
                      "  \"join\": {\n"
                      "    \"reference_full_ms_per_query\": %.4f,\n"
@@ -676,33 +584,19 @@ int main(int argc, char** argv) {
   WEBTAB_CHECK(allocs_per_query == 0.0)
       << "kernel hot path allocated " << allocs_per_query
       << " times per query at steady state (tracing attached)";
-  // Scatter-gather acceptance: byte-identity was CHECKed above on every
-  // query/engine/shard-count combination; the parallel path must also
-  // preserve the zero-allocation steady state, and on a machine with
-  // >= 4 hardware threads the pruned top-10 mix must at least halve
-  // wall-clock at 4 shards. (On fewer cores the speedup keys are still
-  // emitted for bench_diff, but physics caps them near 1x.)
-  WEBTAB_CHECK(parallel_allocs_per_query == 0.0)
-      << "parallel kernel allocated " << parallel_allocs_per_query
-      << " times per query at steady state";
-  if (multicore) {
-    WEBTAB_CHECK(speedup_4shard >= 2.0)
-        << "scatter-gather speedup at 4 shards " << speedup_4shard
-        << " < 2x on a " << hardware_threads << "-thread machine";
-  }
   // Observability acceptance: the record path (per-query counters, no
   // trace attached) costs <= 2% of the hot kernel sweep.
   WEBTAB_CHECK(metrics_overhead <= 0.02)
       << "metrics record path cost " << metrics_overhead * 100.0
-      << "% of the pruned top-k sweep (quiet-floor ratio)";
-  // A raw ratio far below zero means the paired floors diverged (the
+      << "% of the pruned top-k sweep (paired-median ratio)";
+  // A raw fraction far below zero means the paired timings diverged (the
   // two configurations did not see comparable machine conditions) and
   // the clamped figure above cannot be trusted.
   WEBTAB_CHECK(metrics_overhead_raw >= -0.05)
-      << "overhead floors diverged: raw metrics overhead "
+      << "overhead pairs diverged: raw metrics overhead "
       << metrics_overhead_raw * 100.0 << "% < -5% is beyond noise";
   WEBTAB_CHECK(explain_overhead_raw >= -0.05)
-      << "overhead floors diverged: raw explain overhead "
+      << "overhead pairs diverged: raw explain overhead "
       << explain_overhead_raw * 100.0 << "% < -5% is beyond noise";
   // The block-max bounds must make the top-k prune actually fire: some
   // queries stop early, and across the workload each select engine

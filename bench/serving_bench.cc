@@ -290,98 +290,6 @@ int main(int argc, char** argv) {
   const double wall_seconds = run_timer.ElapsedSeconds();
   service.Stop();
 
-  // --- Second mode: the same mixed annotate+search traffic with
-  // intra-query scatter-gather parallelism on (search_shards=4; the
-  // requests defer to the server default). A fresh service over
-  // generation B, every search verified byte-identical against the
-  // sequential single-threaded engine — the determinism contract the
-  // parallel executor ships under.
-  const int64_t par_shards = 4;
-  serve::SnapshotManager par_manager;
-  Result<uint64_t> par_loaded = par_manager.Load(path_b);
-  WEBTAB_CHECK(par_loaded.ok()) << par_loaded.status().ToString();
-  serve::ServiceOptions par_options = options;
-  par_options.search_shards = static_cast<int>(par_shards);
-  serve::WebTabService par_service(&par_manager, par_options);
-  par_service.Start();
-  obs::Histogram* par_hist =
-      registry.GetHistogram("serving_bench.parallel_all_ms");
-  std::vector<ClientLog> par_logs(static_cast<size_t>(clients));
-  std::cout << "Re-driving the mix with intra-query parallelism ("
-            << par_shards << " shards)...\n";
-  WallTimer par_timer;
-  auto par_client = [&](int client_id) {
-    ClientLog* log = &par_logs[client_id];
-    serve::EngineKind engines[3] = {serve::EngineKind::kBaseline,
-                                    serve::EngineKind::kType,
-                                    serve::EngineKind::kTypeRelation};
-    // parallelism=0 on the request defers to the server's
-    // search_shards — the wire default for clients that never heard of
-    // the knob.
-    TopKOptions par_topk;
-    par_topk.parallelism = 0;
-    for (int64_t i = 0; i < requests_per_client; ++i) {
-      const int64_t pick = client_id * 131 + i * 17;
-      WallTimer latency;
-      if (i % 8 == 7) {
-        const size_t t = pick % annotate_tables.size();
-        serve::AnnotateResponse response =
-            par_service.Annotate(annotate_tables[t]);
-        par_hist->Record(latency.ElapsedMillis());
-        ++log->responses;
-        const TableAnnotation& want = expected_annotations[t];
-        const TableAnnotation& got = response.annotation;
-        if (!response.status.ok() ||
-            got.column_types != want.column_types ||
-            got.cell_entities != want.cell_entities ||
-            got.relations != want.relations) {
-          ++log->failures;
-        }
-        continue;
-      }
-      const SelectQuery& query = queries[pick % queries.size()];
-      serve::EngineKind engine = engines[pick % 3];
-      serve::SearchResponse response =
-          par_service.Search(engine, query, par_topk);
-      par_hist->Record(latency.ElapsedMillis());
-      ++log->responses;
-      if (!response.status.ok()) {
-        ++log->failures;
-        continue;
-      }
-      std::vector<SearchResult> want;
-      switch (engine) {
-        case serve::EngineKind::kBaseline:
-          want = BaselineSearch(*corpus_by_version[2], query);
-          break;
-        case serve::EngineKind::kType:
-          want = TypeSearch(*corpus_by_version[2], query);
-          break;
-        default:
-          want = TypeRelationSearch(*corpus_by_version[2], query);
-          break;
-      }
-      if (!SameResults(response.results, want)) ++log->failures;
-    }
-  };
-  std::vector<std::thread> par_threads;
-  for (int64_t c = 0; c < clients; ++c) {
-    par_threads.emplace_back(par_client, static_cast<int>(c));
-  }
-  for (std::thread& t : par_threads) t.join();
-  const double par_wall_seconds = par_timer.ElapsedSeconds();
-  par_service.Stop();
-  int64_t par_responses = 0, par_failures = 0;
-  for (const ClientLog& log : par_logs) {
-    par_responses += log.responses;
-    par_failures += log.failures;
-  }
-  obs::HistogramSnapshot par_snap = par_hist->Snapshot();
-  const double par_throughput =
-      par_wall_seconds > 0
-          ? static_cast<double>(par_responses) / par_wall_seconds
-          : 0;
-
   // Aggregate.
   int64_t responses = 0, failures = 0, served_v1 = 0, served_v2 = 0;
   for (const ClientLog& log : logs) {
@@ -398,7 +306,6 @@ int main(int argc, char** argv) {
       registry.GetHistogram("serve.queue_wait_ms")->Snapshot();
 
   serve::ServiceStats stats = service.stats();
-  serve::ServiceStats par_stats = par_service.stats();
   const double throughput =
       wall_seconds > 0 ? static_cast<double>(responses) / wall_seconds : 0;
 
@@ -429,27 +336,8 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(stats.cache.hits),
       static_cast<unsigned long long>(stats.cache.misses),
       static_cast<unsigned long long>(stats.rejected_overload),
-      (failures == 0 && par_failures == 0) ? "true" : "false");
+      failures == 0 ? "true" : "false");
   std::string json = buf;
-  // Both traffic modes, side by side: "off" is the hot-swap run above
-  // (sequential kernel), "on" re-drives the mix with scatter-gather
-  // fan-out. Same clients, same query pool, same annotate share.
-  std::snprintf(
-      buf, sizeof(buf),
-      "  \"intra_query_parallelism\": {\n"
-      "    \"off\": {\"p50\": %.3f, \"p99\": %.3f,"
-      " \"throughput_rps\": %.1f},\n"
-      "    \"on\": {\"search_shards\": %lld, \"responses\": %lld,"
-      " \"failures\": %lld,\n"
-      "           \"p50\": %.3f, \"p99\": %.3f,"
-      " \"throughput_rps\": %.1f}\n"
-      "  },\n",
-      all_snap.Percentile(0.5), all_snap.Percentile(0.99), throughput,
-      static_cast<long long>(par_shards),
-      static_cast<long long>(par_responses),
-      static_cast<long long>(par_failures), par_snap.Percentile(0.5),
-      par_snap.Percentile(0.99), par_throughput);
-  json += buf;
   json += "  \"search_latency_ms\": " + HistogramJson(search_snap) + ",\n";
   json +=
       "  \"annotate_latency_ms\": " + HistogramJson(annotate_snap) + ",\n";
@@ -473,19 +361,10 @@ int main(int argc, char** argv) {
       << "hot-swap did not land under load (v1=" << served_v1
       << ", v2=" << served_v2 << ")";
   // Every executed request recorded its queue wait (the satellite fix:
-  // Request::queued used to be measured and dropped). The histogram is
-  // process-global, so it accumulates across both service instances.
+  // Request::queued used to be measured and dropped).
   WEBTAB_CHECK(queue_snap.count ==
-               static_cast<uint64_t>(responses + par_responses) -
-                   stats.rejected_overload - par_stats.rejected_overload)
+               static_cast<uint64_t>(responses) - stats.rejected_overload)
       << "queue-wait histogram count " << queue_snap.count
-      << " != executed requests across both modes";
-  // The parallel-on rerun must lose nothing and stay byte-identical to
-  // the sequential single-threaded engines.
-  WEBTAB_CHECK(par_responses == total_requests)
-      << "parallel mode lost requests: " << total_requests - par_responses;
-  WEBTAB_CHECK(par_failures == 0)
-      << par_failures
-      << " parallel-mode responses diverged from sequential engines";
+      << " != executed requests";
   return 0;
 }

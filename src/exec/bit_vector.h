@@ -29,6 +29,9 @@ class BitVector {
   void Resize(uint32_t num_bits) {
     num_bits_ = num_bits;
     const size_t words = NumWords();
+    // memset needs a non-null pointer even for zero bytes, and a vector
+    // that never grew has data() == nullptr.
+    if (words == 0) return;
     if (words_.size() < words) words_.resize(words, 0);
     std::memset(words_.data(), 0, words * sizeof(uint64_t));
   }

@@ -6,7 +6,8 @@
 #include "text/tokenizer.h"
 
 namespace webtab {
-namespace search_internal {
+
+namespace {
 
 /// Collects bindings of the unbound side of relation `rel` given the
 /// grounded side, by scanning the relation's annotated column pairs.
@@ -23,10 +24,10 @@ namespace search_internal {
 /// Add calls as the full scan. `support_valid` says the workspace's
 /// support set covers the current match target; without it, text-bearing
 /// legs scan everything.
-void JoinExpandLeg(const CorpusView& index, RelationId rel, EntityId grounded,
-                   std::string_view grounded_text, bool grounded_is_object,
-                   bool support_valid, bool use_batch, SearchWorkspace* ws,
-                   EntityAccumulator* acc) {
+void ExpandLeg(const CorpusView& index, RelationId rel, EntityId grounded,
+               std::string_view grounded_text, bool grounded_is_object,
+               bool support_valid, bool use_batch, SearchWorkspace* ws,
+               search_internal::EntityAccumulator* acc) {
   acc->Begin();
   const bool has_text = !grounded_text.empty();
   const bool can_skip =
@@ -168,7 +169,7 @@ void JoinExpandLeg(const CorpusView& index, RelationId rel, EntityId grounded,
   }
 }
 
-}  // namespace search_internal
+}  // namespace
 
 std::vector<SearchResult> JoinSearch(const CorpusView& index,
                                      const JoinQuery& query) {
@@ -195,10 +196,9 @@ void JoinSearch(const CorpusView& index, const JoinQuery& query,
   // Trace-wise the binding leg is the plan (it fixes what leg 1 scans)
   // and the expansion loop is the scoring scan.
   obs::TraceSpan plan_span("search.plan");
-  search_internal::JoinExpandLeg(
-      index, query.r2, query.e3, ws->norm_scratch,
-      /*grounded_is_object=*/query.e2_is_subject, support_valid, topk.batch,
-      ws, &ws->leg_acc);
+  ExpandLeg(index, query.r2, query.e3, ws->norm_scratch,
+            /*grounded_is_object=*/query.e2_is_subject, support_valid,
+            topk.batch, ws, &ws->leg_acc);
   ws->leg_acc.ExtractRanked(std::max(0, query.max_join_entities),
                             &ws->binding_list);
   plan_span.End();
@@ -211,10 +211,9 @@ void JoinSearch(const CorpusView& index, const JoinQuery& query,
   {
     obs::TraceSpan score_span("search.score");
     for (const auto& [e2, e2_score] : ws->binding_list) {
-      search_internal::JoinExpandLeg(
-          index, query.r1, e2, /*grounded_text=*/{},
-          /*grounded_is_object=*/query.e1_is_subject, support_valid,
-          topk.batch, ws, &ws->leg_acc);
+      ExpandLeg(index, query.r1, e2, /*grounded_text=*/{},
+                /*grounded_is_object=*/query.e1_is_subject, support_valid,
+                topk.batch, ws, &ws->leg_acc);
       const double binding_score = e2_score;
       ws->leg_acc.ForEach([&](EntityId e1, double evidence) {
         // Multiplicative chaining: weak join bindings contribute less.

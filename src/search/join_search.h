@@ -41,18 +41,6 @@ void JoinSearch(const CorpusView& index, const JoinQuery& query,
                 const TopKOptions& topk, SearchWorkspace* workspace,
                 std::vector<SearchResult>* out);
 
-namespace search_internal {
-/// One leg expansion of the join engine (bindings of `rel`'s unbound
-/// side given the grounded side), exposed so the scatter-gather
-/// executor can run leg-1 expansions per binding on the task pool; see
-/// the definition for the full contract. `grounded_text` must be
-/// pre-normalized and already set as `ws`'s match target when non-empty.
-void JoinExpandLeg(const CorpusView& index, RelationId rel, EntityId grounded,
-                   std::string_view grounded_text, bool grounded_is_object,
-                   bool support_valid, bool use_batch, SearchWorkspace* ws,
-                   EntityAccumulator* acc);
-}  // namespace search_internal
-
 }  // namespace webtab
 
 #endif  // WEBTAB_SEARCH_JOIN_SEARCH_H_

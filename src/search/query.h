@@ -36,10 +36,6 @@ struct SearchResult {
 
 struct JoinQuery;  // join_search.h
 
-namespace search_internal {
-struct ShardScan;  // shard_scan.h (scatter-gather kernel protocol)
-}  // namespace search_internal
-
 /// How much of the ranking a caller wants. Every engine accepts one:
 ///  - k <= 0: the full exact ranking (byte-identical to the retained
 ///    reference engines — same answers, same doubles, same order).
@@ -65,18 +61,6 @@ struct TopKOptions {
   /// same order — which is retained as the equivalence reference and
   /// asserted against in search_equivalence_test / exec_batch_test.
   bool batch = true;
-  /// Requested intra-query fan-out. 1 runs the classic sequential scan;
-  /// N > 1 asks the scatter-gather executor (parallel_search.h) to split
-  /// the corpus into N contiguous table-range shards and merge — the
-  /// merged ranking is byte-identical to the sequential one for every
-  /// k/prune/batch combination (determinism contract, asserted by
-  /// parallel_search_test and in-bench). Engines themselves ignore the
-  /// field; the serving layer clamps it to ServiceOptions::search_shards.
-  int parallelism = 1;
-  /// Internal scatter-gather hook: non-null only when the parallel
-  /// executor invokes an engine as one shard of a partitioned scan.
-  /// Callers leave it null.
-  search_internal::ShardScan* shard = nullptr;
 };
 
 /// Validates catalog ids carried by a query against `catalog`: kNa means

@@ -320,52 +320,15 @@ void SearchWorkspace::BeginSelect(std::string_view normalized_e2) {
   query_stats = QueryStats{};
   decision_log.clear();
   filter_log.clear();
-  shard_log.clear();
   decision_bounds_valid = false;
   stop_check_skip_ = 0;
   stop_check_backoff_ = 1;
-  // Recording state is deliberately untouched: the inline shard protocol
-  // re-enters engines (and thus BeginSelect) between the plan and score
-  // passes and brackets recording explicitly via Begin/EndRecording.
 }
 
 void SearchWorkspace::AddText(int32_t table, std::string_view raw,
                               double score) {
   NormalizeTextInto(raw, &text_key_scratch_);
-  if (recording_) {
-    // EvidenceMap::AddText drops empty normalized keys; skipping the
-    // record here is equivalent (replay would drop it too) and cheaper.
-    if (text_key_scratch_.empty()) return;
-    EmitRecord r;
-    r.table = table;
-    r.entity = kNa;
-    r.raw = raw.data();
-    r.raw_len = static_cast<uint32_t>(raw.size());
-    r.key_off = static_cast<uint32_t>(emit_keys.size());
-    r.key_len = static_cast<uint32_t>(text_key_scratch_.size());
-    r.score = score;
-    emit_keys.append(text_key_scratch_);
-    emit_records.push_back(r);
-    return;
-  }
   evidence_.AddText(table, text_key_scratch_, raw, score);
-}
-
-void SearchWorkspace::ReplayRecordsFrom(const SearchWorkspace& shard,
-                                        uint32_t begin, uint32_t end) {
-  for (uint32_t i = begin; i < end; ++i) {
-    const EmitRecord& r = shard.emit_records[i];
-    const std::string_view raw =
-        r.raw_len != 0 ? std::string_view(r.raw, r.raw_len)
-                       : std::string_view();
-    if (r.entity != kNa) {
-      evidence_.AddEntity(r.table, r.entity, raw, r.score);
-    } else {
-      evidence_.AddText(
-          r.table, {shard.emit_keys.data() + r.key_off, r.key_len}, raw,
-          r.score);
-    }
-  }
 }
 
 bool SearchWorkspace::BuildMatchSupport(const CorpusView& corpus) {

@@ -194,26 +194,6 @@ class SearchWorkspace {
     int64_t tables_planned = 0;
     int64_t tables_scored = 0;
     bool stopped_early = false;
-    /// Scatter-gather fan-out that produced this query's ranking; 1 for
-    /// the classic sequential scan.
-    int shards_used = 1;
-    /// Planned tables that in-flight shards skipped because the shared
-    /// stop threshold had already passed their global position. Strictly
-    /// telemetry: the positions lie behind the published stop, so their
-    /// records were never going to be replayed. Deterministic in the
-    /// inline executor; timing-dependent under real threads.
-    int64_t shard_tables_abandoned = 0;
-  };
-
-  /// Per-shard gather summary for EXPLAIN's scatter-gather section
-  /// (filled by parallel_search.cc; empty for sequential queries).
-  struct ShardSummary {
-    int32_t shard = 0;
-    int32_t table_begin = 0;  // corpus table-order range [begin, end)
-    int32_t table_end = 0;
-    int64_t planned = 0;      // plan entries this shard produced
-    int64_t replayed = 0;     // positions whose records the gather replayed
-    int64_t abandoned = 0;    // positions skipped via the shared stop
   };
 
   /// One planned table's fate in the EXPLAIN decision log. The log is
@@ -262,65 +242,9 @@ class SearchWorkspace {
 
   void AddEntity(int32_t table, EntityId e, std::string_view raw,
                  double score) {
-    if (recording_) {
-      emit_records.push_back(EmitRecord{table, e, raw.data(),
-                                        static_cast<uint32_t>(raw.size()), 0,
-                                        0, score});
-      return;
-    }
     evidence_.AddEntity(table, e, raw, score);
   }
   void AddText(int32_t table, std::string_view raw, double score);
-
-  // --- Scatter-gather recording (parallel_search.cc). ---
-  // A shard's scoring pass cannot feed a private evidence map and merge
-  // subtotals later: double addition is not associative, so merged sums
-  // would drift from the sequential scan's bit pattern. Instead a shard
-  // *records* the exact AddEntity/AddText argument stream and the gather
-  // replays it in global table order into the merge workspace —
-  // reproducing the sequential accumulation order, display-string
-  // adoption and tie-breaks by construction.
-
-  /// One recorded evidence call. Raw text views point into the corpus
-  /// backing store (stable for the query's duration); AddText's
-  /// normalized key is copied into emit_keys because the normalization
-  /// scratch is reused per call.
-  struct EmitRecord {
-    int32_t table = 0;
-    EntityId entity = kNa;  // kNa: text-keyed answer
-    const char* raw = nullptr;
-    uint32_t raw_len = 0;
-    uint32_t key_off = 0, key_len = 0;  // into emit_keys (text answers)
-    double score = 0.0;
-  };
-  /// Maps one scored plan position to its emit_records range; the gather
-  /// replays ranges in plan order and runs the sequential stop rule
-  /// between them. Positions without a mark were not scored.
-  struct EmitMark {
-    uint32_t plan_pos = 0;
-    uint32_t begin = 0, end = 0;
-  };
-
-  /// Arms recording and clears the record buffers. Deliberately not part
-  /// of BeginSelect: the inline shard protocol re-enters an engine (and
-  /// thus BeginSelect) for the scoring pass and must keep both the flag
-  /// and the buffers across it.
-  void BeginRecording() {
-    recording_ = true;
-    emit_records.clear();
-    emit_marks.clear();
-    emit_keys.clear();
-  }
-  void EndRecording() { recording_ = false; }
-  bool recording() const { return recording_; }
-  void MarkRecorded(uint32_t plan_pos, uint32_t begin) {
-    emit_marks.push_back(
-        EmitMark{plan_pos, begin, static_cast<uint32_t>(emit_records.size())});
-  }
-  /// Replays `shard`'s records [begin, end) into this workspace's
-  /// evidence map — the gather side of the contract above.
-  void ReplayRecordsFrom(const SearchWorkspace& shard, uint32_t begin,
-                         uint32_t end);
 
   /// The safe early-termination rule. `remaining` is the sum over
   /// unscanned tables of PlannedTable::bound — an upper bound on any
@@ -364,11 +288,6 @@ class SearchWorkspace {
   }
 
   const QueryStats& stats() const { return query_stats; }
-
-  /// Running max accumulated score in the evidence map — the gather
-  /// publishes it as the shared-threshold telemetry after each shard
-  /// replay.
-  double max_evidence_score() const { return evidence_.max_score(); }
 
   /// One batched bound screen's outcome in the EXPLAIN filter log:
   /// which condition order the adaptive reorderer ran, how many plan
@@ -456,14 +375,6 @@ class SearchWorkspace {
   std::vector<std::pair<EntityId, double>> binding_list;  // join bindings
   std::string norm_scratch;  // join E3 normalization
   QueryStats query_stats;   // written by the engines per query
-  /// Recording buffers (see BeginRecording). Engine-facing: the gather
-  /// reads a shard workspace's buffers after its done flag.
-  std::vector<EmitRecord> emit_records;
-  std::vector<EmitMark> emit_marks;
-  std::string emit_keys;  // normalized text keys backing emit_records
-  /// Per-shard EXPLAIN summaries for the last query (empty for
-  /// sequential scans); cleared by BeginSelect.
-  std::vector<ShardSummary> shard_log;
   /// EXPLAIN decision log for the last query (empty unless
   /// explain_enabled()); one entry per planned table in scan order.
   std::vector<TableDecision> decision_log;
@@ -481,7 +392,6 @@ class SearchWorkspace {
   int64_t stop_check_skip_ = 0;
   int64_t stop_check_backoff_ = 1;
   bool explain_enabled_ = false;
-  bool recording_ = false;
 };
 
 /// Per-thread workspace backing the convenience engine wrappers (the

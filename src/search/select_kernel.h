@@ -12,7 +12,6 @@
 #include "obs/trace.h"
 #include "search/posting_cursor.h"
 #include "search/search_workspace.h"
-#include "search/shard_scan.h"
 
 namespace webtab {
 namespace search_internal {
@@ -351,62 +350,9 @@ inline void RecordQueryStatsMetrics(
 ///     remaining == 0, so this stop must live here).
 /// Scan order stays ascending — reordering would change double
 /// summation order and break bit-identity with the reference.
-/// Shard-mode twin of RunPlannedTables, entered when the scatter-gather
-/// executor invoked the engine with TopKOptions::shard set. The shard
-/// scores its clamped plan with *recording* armed (AddEntity/AddText
-/// append to the shard workspace's record buffers instead of
-/// accumulating) and never runs the stop rule itself — the gather
-/// replays records in global table order on the merge workspace and
-/// owns all stop/EXPLAIN/stats accounting. The only cross-thread reads
-/// are relaxed polls of the shared stop position: once the gather's
-/// sequential stop proof passes a position, its records would never be
-/// replayed, so abandoning it cannot change a byte of output.
-template <typename BoundFillFn, typename ScoreFn>
-void RunShardPlannedTables(SearchWorkspace* ws, const TopKOptions& topk,
-                           BoundFillFn&& fill_bounds, ScoreFn&& score_table) {
-  ShardScan* shard = topk.shard;
-  const bool prune = topk.k > 0 && topk.prune;
-  ws->query_stats.tables_planned = static_cast<int64_t>(ws->plan.size());
-  // Bounds are needed in every phase that proceeds past planning: the
-  // zero-bound skip below must mirror the gather's replay skip exactly.
-  // No suffix sums here — only the gather sees the global plan.
-  if (prune) {
-    obs::TraceSpan bound_span("search.bounds");
-    fill_bounds();
-  }
-  if (shard->state != nullptr) {
-    shard->state->store(1, std::memory_order_release);  // plan + bounds ready
-  }
-  if (shard->phase == ShardPhase::kPlanOnly) return;
-  ShardControl* ctrl = shard->control;
-  obs::TraceSpan score_span("search.score");
-  for (size_t pi = 0; pi < ws->plan.size(); ++pi) {
-    // Exact mirror of the sequential zero-bound elimination; the gather
-    // logs the verdict.
-    if (prune && ws->plan[pi].bound <= 0.0) continue;
-    if (ctrl != nullptr &&
-        ctrl->stop_pos.load(std::memory_order_relaxed) <=
-            ShardControl::Encode(shard->shard_index, pi)) {
-      ++shard->abandoned;
-      continue;
-    }
-    const uint32_t begin = static_cast<uint32_t>(ws->emit_records.size());
-    score_table(ws->plan[pi]);
-    ws->MarkRecorded(static_cast<uint32_t>(pi), begin);
-  }
-  if (shard->state != nullptr) {
-    shard->state->store(2, std::memory_order_release);  // records complete
-  }
-}
-
 template <typename BoundFillFn, typename ScoreFn>
 void RunPlannedTables(SearchWorkspace* ws, const TopKOptions& topk,
                       BoundFillFn&& fill_bounds, ScoreFn&& score_table) {
-  if (topk.shard != nullptr) {
-    RunShardPlannedTables(ws, topk, std::forward<BoundFillFn>(fill_bounds),
-                          std::forward<ScoreFn>(score_table));
-    return;
-  }
   using Decision = SearchWorkspace::TableDecision;
   ws->query_stats.tables_planned = static_cast<int64_t>(ws->plan.size());
   const bool prune = topk.k > 0 && topk.prune;

@@ -1,5 +1,6 @@
 #include "serve/protocol.h"
 
+#include <limits>
 #include <utility>
 
 #include "obs/metrics.h"
@@ -23,6 +24,28 @@ Result<WireRequest::Op> ParseOp(std::string_view name) {
   if (name == "debug") return Op::kDebug;
   if (name == "quit") return Op::kQuit;
   return Status::InvalidArgument("unknown op: " + std::string(name));
+}
+
+/// Reads the optional integer field `key` into `*out`, leaving it
+/// untouched when the field is absent or not a number. JSON numbers
+/// arrive as doubles, and converting a non-finite or out-of-range double
+/// to an integer is undefined behaviour, so such values are rejected
+/// with kInvalidArgument naming the field. In-range fractions truncate
+/// toward zero.
+template <typename Int>
+Status GetIntField(const Json& json, std::string_view key, Int* out) {
+  const Json* field = json.Find(key);
+  if (field == nullptr || !field->is_number()) return Status::Ok();
+  const double value = field->number_value();
+  // min() is -2^(bits-1), so both limits are exact doubles; the negated
+  // comparison also rejects NaN.
+  constexpr double kMin = static_cast<double>(std::numeric_limits<Int>::min());
+  if (!(value >= kMin && value < -kMin)) {
+    return Status::InvalidArgument("\"" + std::string(key) +
+                                   "\" is out of integer range");
+  }
+  *out = static_cast<Int>(value);
+  return Status::Ok();
 }
 
 Status ParseTable(const Json& json, WireTable* out) {
@@ -50,8 +73,7 @@ Status ParseTable(const Json& json, WireTable* out) {
     out->rows.push_back(std::move(cells));
   }
   out->context = json.GetString("context");
-  out->id = static_cast<int64_t>(json.GetNumber("id", -1));
-  return Status::Ok();
+  return GetIntField(json, "id", &out->id);
 }
 
 }  // namespace
@@ -73,9 +95,9 @@ Result<WireRequest> ParseWireRequest(std::string_view line) {
   // full ranking (scores and total_results as before; the renderer
   // still truncates the *displayed* list); present, it flows into the
   // engines as a pruned top-k request.
-  request.top_k = static_cast<int>(json.GetNumber("k", 0));
-  request.deadline_ms =
-      static_cast<int64_t>(json.GetNumber("deadline_ms", 0));
+  WEBTAB_RETURN_IF_ERROR(GetIntField(json, "k", &request.top_k));
+  WEBTAB_RETURN_IF_ERROR(
+      GetIntField(json, "deadline_ms", &request.deadline_ms));
 
   switch (request.op) {
     case WireRequest::Op::kSearch: {
@@ -93,8 +115,6 @@ Result<WireRequest> ParseWireRequest(std::string_view line) {
       request.want_stats = json.GetBool("stats", false);
       request.want_trace = json.GetBool("trace", false);
       request.want_explain = json.GetBool("explain", false);
-      request.parallelism =
-          static_cast<int>(json.GetNumber("parallelism", 0));
       break;
     }
     case WireRequest::Op::kJoin:
@@ -107,10 +127,8 @@ Result<WireRequest> ParseWireRequest(std::string_view line) {
       request.join.e3 = json.GetString("e3");
       request.join.e1_is_subject = json.GetBool("e1_is_subject", true);
       request.join.e2_is_subject = json.GetBool("e2_is_subject", true);
-      request.join.max_join_entities =
-          static_cast<int>(json.GetNumber("max_join_entities", 20));
-      request.parallelism =
-          static_cast<int>(json.GetNumber("parallelism", 0));
+      WEBTAB_RETURN_IF_ERROR(GetIntField(json, "max_join_entities",
+                                         &request.join.max_join_entities));
       break;
     case WireRequest::Op::kAnnotate: {
       request.want_trace = json.GetBool("trace", false);
@@ -421,28 +439,6 @@ Json SearchExplainJson(const SearchResponse& response) {
   filters.Set("classes", std::move(classes));
   filters.Set("screens", std::move(decisions));
   explain.Set("filters", std::move(filters));
-
-  // Scatter-gather section, present only when the query ran sharded:
-  // one entry per shard with its table range, plan size, how many of
-  // its tables the gather replayed, and how many the shared stop let it
-  // abandon mid-flight.
-  if (!response.shard_log.empty()) {
-    Json shards = Json::Array();
-    for (const SearchWorkspace::ShardSummary& s : response.shard_log) {
-      Json item = Json::Object();
-      item.Set("shard", Json::Number(static_cast<double>(s.shard)));
-      item.Set("table_begin",
-               Json::Number(static_cast<double>(s.table_begin)));
-      item.Set("table_end",
-               Json::Number(static_cast<double>(s.table_end)));
-      item.Set("planned", Json::Number(static_cast<double>(s.planned)));
-      item.Set("replayed", Json::Number(static_cast<double>(s.replayed)));
-      item.Set("abandoned",
-               Json::Number(static_cast<double>(s.abandoned)));
-      shards.Append(std::move(item));
-    }
-    explain.Set("shards", std::move(shards));
-  }
   return explain;
 }
 
@@ -523,12 +519,6 @@ std::string RenderSearchResponse(const SearchResponse& response,
               Json::Number(static_cast<double>(
                   response.stats.tables_scored)));
     stats.Set("stopped_early", Json::Bool(response.stats.stopped_early));
-    stats.Set("shards_used",
-              Json::Number(static_cast<double>(
-                  response.stats.shards_used)));
-    stats.Set("shard_tables_abandoned",
-              Json::Number(static_cast<double>(
-                  response.stats.shard_tables_abandoned)));
     json.Set("stats", std::move(stats));
   }
   if (response.has_explain) {

@@ -62,12 +62,6 @@ struct WireRequest {
   /// with safe pruning; scores are then lower bounds and
   /// total_results <= k.
   int top_k = 0;
-  /// Wire "parallelism" on search/join requests: intra-query
-  /// scatter-gather fan-out. 0 (absent) uses the server default
-  /// (ServiceOptions::search_shards); values are clamped to
-  /// [1, search_shards]. Results are byte-identical at any setting —
-  /// the knob trades latency for cores, never answers.
-  int parallelism = 0;
   int64_t deadline_ms = 0; // 0 = service default
   /// Wire "stats": true — opt-in on search/join requests. The response
   /// then carries a "stats" object with the engine's pruning counters

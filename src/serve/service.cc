@@ -494,25 +494,6 @@ void WebTabService::ExecuteSearch(Request* request, WorkerState* state,
     misses->Add(1);
   }
 
-  // Effective intra-query parallelism: the request's knob, with 0 (or
-  // negative) meaning the server default, clamped to the configured
-  // ceiling. Parallel and sequential runs return byte-identical
-  // payloads (search/parallel_search.h), which is why the cache key
-  // above never mentions parallelism.
-  int parallelism = request->topk.parallelism;
-  if (parallelism <= 0) parallelism = options_.search_shards;
-  parallelism = std::min(parallelism, std::max(1, options_.search_shards));
-  if (parallelism > 1 && state->parallel == nullptr) {
-    // Pool sized one short of the fan-out: the request thread runs one
-    // shard itself (parallel_search.cc), so a worker's context adds
-    // search_shards - 1 threads rather than search_shards threads plus
-    // a spinning request thread.
-    state->parallel = std::make_unique<ParallelSearchContext>(
-        options_.search_shards, options_.search_shards - 1);
-  }
-  TopKOptions topk = request->topk;
-  topk.parallelism = parallelism;
-
   WallTimer work;
   std::vector<SearchResult> results;
   SearchWorkspace* ws = &state->search_workspace;
@@ -523,47 +504,22 @@ void WebTabService::ExecuteSearch(Request* request, WorkerState* state,
     // slow-request log needs stage timings for exactly the requests
     // nobody thought to trace in advance.
     obs::ScopedTraceAttach attach(&state->trace);
-    if (parallelism > 1) {
-      ParallelSearchContext* ctx = state->parallel.get();
-      switch (request->engine) {
-        case EngineKind::kBaseline:
-          ParallelSelectSearch(SelectEngineKind::kBaseline, *corpus,
-                               request->select, normalized, topk, ctx, ws,
-                               &results);
-          break;
-        case EngineKind::kType:
-          ParallelSelectSearch(SelectEngineKind::kType, *corpus,
-                               request->select, normalized, topk, ctx, ws,
-                               &results);
-          break;
-        case EngineKind::kTypeRelation:
-          ParallelSelectSearch(SelectEngineKind::kTypeRelation, *corpus,
-                               request->select, normalized, topk, ctx, ws,
-                               &results);
-          break;
-        case EngineKind::kJoin:
-          ParallelJoinSearch(*corpus, request->join, topk, ctx, ws,
-                             &results);
-          break;
-      }
-    } else {
-      switch (request->engine) {
-        case EngineKind::kBaseline:
-          BaselineSearch(*corpus, request->select, normalized, topk, ws,
-                         &results);
-          break;
-        case EngineKind::kType:
-          TypeSearch(*corpus, request->select, normalized, topk, ws,
-                     &results);
-          break;
-        case EngineKind::kTypeRelation:
-          TypeRelationSearch(*corpus, request->select, normalized, topk, ws,
-                             &results);
-          break;
-        case EngineKind::kJoin:
-          JoinSearch(*corpus, request->join, topk, ws, &results);
-          break;
-      }
+    switch (request->engine) {
+      case EngineKind::kBaseline:
+        BaselineSearch(*corpus, request->select, normalized, request->topk,
+                       ws, &results);
+        break;
+      case EngineKind::kType:
+        TypeSearch(*corpus, request->select, normalized, request->topk, ws,
+                   &results);
+        break;
+      case EngineKind::kTypeRelation:
+        TypeRelationSearch(*corpus, request->select, normalized,
+                           request->topk, ws, &results);
+        break;
+      case EngineKind::kJoin:
+        JoinSearch(*corpus, request->join, request->topk, ws, &results);
+        break;
     }
   }
   meta.work_millis = work.ElapsedMillis();
@@ -592,7 +548,6 @@ void WebTabService::ExecuteSearch(Request* request, WorkerState* state,
     }
     response.explain_log = ws->decision_log;
     response.explain_bounds_valid = ws->decision_bounds_valid;
-    response.shard_log = ws->shard_log;
     response.has_explain = true;
     const std::span<const exec::FilterManager::ClassState> classes =
         ws->filter_manager().classes();

@@ -19,7 +19,6 @@
 #include "obs/timeseries.h"
 #include "obs/trace.h"
 #include "search/join_search.h"
-#include "search/parallel_search.h"
 #include "search/query.h"
 #include "serve/result_cache.h"
 #include "serve/snapshot_manager.h"
@@ -49,16 +48,6 @@ struct ServiceOptions {
   /// Result cache entries (0 disables) and shard count.
   int result_cache_capacity = 1024;
   int result_cache_shards = 8;
-  /// Upper bound on intra-query parallelism (scatter-gather shard
-  /// fan-out; see search/parallel_search.h). 1 keeps every query on the
-  /// sequential kernel. > 1 gives each worker a lazily-built
-  /// ParallelSearchContext with this many workspace slots and
-  /// search_shards - 1 task-pool threads (the request thread runs the
-  /// remaining shard itself); a request's own `parallelism` knob (wire field
-  /// "parallelism") is clamped to [1, search_shards], with 0/absent
-  /// meaning "use the server default" (= search_shards). Results are
-  /// byte-identical either way, so the result cache key ignores it.
-  int search_shards = 1;
   /// Requests whose queue + work time reaches this many milliseconds
   /// are logged at Warning with their per-stage trace breakdown
   /// (request kind, id, generation, stage timings) and retained in the
@@ -120,10 +109,6 @@ struct SearchResponse {
   /// seed and asserts the order trace bit for bit.
   std::vector<exec::FilterManager::ClassState> filter_classes;
   std::vector<SearchWorkspace::FilterDecision> filter_log;
-  /// Per-shard scatter-gather summary (EXPLAIN only; empty when the
-  /// query ran the sequential kernel or is a join): the table range,
-  /// plan size, replayed count and abandoned count of every shard.
-  std::vector<SearchWorkspace::ShardSummary> shard_log;
 };
 
 struct AnnotateResponse {
@@ -302,11 +287,6 @@ class WebTabService {
     /// (its contents are epoch-stamped per query, so a hot-swap needs
     /// no reset — stale corpus string_views are never dereferenced).
     SearchWorkspace search_workspace;
-    /// Scatter-gather executor (shard workspaces + task pool), built on
-    /// this worker's first parallel query when search_shards > 1 and
-    /// reused for every one after — parallel queries allocate nothing
-    /// in steady state, same as sequential ones.
-    std::unique_ptr<ParallelSearchContext> parallel;
     /// Per-request stage trace, Clear()ed and attached for every
     /// executed request (inline storage — attaching costs nothing when
     /// no span fires). Feeds the slow-request log unconditionally and

@@ -52,7 +52,7 @@ using testing_util::SharedWorld;
 // --- Selection-vector semantics -------------------------------------------
 
 TEST(BitVectorTest, EdgeWordSizes) {
-  for (uint32_t n : {1u, 63u, 64u, 65u, 127u, 128u, 1023u, 1024u}) {
+  for (uint32_t n : {0u, 1u, 63u, 64u, 65u, 127u, 128u, 1023u, 1024u}) {
     BitVector bits(n);
     EXPECT_EQ(bits.num_bits(), n);
     EXPECT_EQ(bits.CountOnes(), 0u);
@@ -63,6 +63,7 @@ TEST(BitVectorTest, EdgeWordSizes) {
     if (tail != 0) {
       EXPECT_EQ(bits.words()[bits.NumWords() - 1] >> tail, 0u) << n;
     }
+    if (n == 0) continue;  // no bit to clear
     bits.Clear(0);
     bits.Clear(n - 1);
     EXPECT_EQ(bits.CountOnes(), n - (n > 1 ? 2 : 1));

@@ -3,9 +3,19 @@
 // and response rendering.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
+#include "catalog/closure.h"
 #include "obs/exemplar.h"
 #include "obs/metrics.h"
 #include "obs/timeseries.h"
+#include "search/baseline_search.h"
+#include "search/corpus_index.h"
+#include "search/join_search.h"
+#include "search/type_relation_search.h"
+#include "search/type_search.h"
 #include "serve/json.h"
 #include "serve/protocol.h"
 #include "test_world.h"
@@ -15,6 +25,7 @@ namespace serve {
 namespace {
 
 using testing_util::Figure1World;
+using testing_util::MakeFigure1Table;
 using testing_util::MakeFigure1World;
 
 TEST(JsonTest, ParsesScalars) {
@@ -117,6 +128,131 @@ TEST(WireRequestTest, RejectsBadRequests) {
   EXPECT_FALSE(ParseWireRequest(R"({"op":"swap"})").ok());      // no path
   EXPECT_FALSE(
       ParseWireRequest(R"({"op":"search","engine":"warp"})").ok());
+}
+
+TEST(WireRequestTest, RejectsOutOfRangeIntegers) {
+  // JSON numbers are doubles, and each of these overflows the integer
+  // field it lands in. Casting anyway is undefined behaviour; on x86
+  // "k":1e30 becomes a negative k, which silently asks for a full
+  // ranking.
+  const struct {
+    const char* line;
+    const char* field;
+  } cases[] = {
+      {R"({"op":"search","engine":"type","e2":"x","k":1e30})", "\"k\""},
+      {R"({"op":"search","engine":"type","e2":"x","k":-1e30})", "\"k\""},
+      {R"({"op":"search","engine":"type","e2":"x","k":1e400})", "\"k\""},
+      {R"({"op":"search","engine":"type","e2":"x","k":2147483648})",
+       "\"k\""},
+      {R"({"op":"search","engine":"type","e2":"x","deadline_ms":1e300})",
+       "\"deadline_ms\""},
+      {R"({"op":"search","engine":"type","e2":"x","deadline_ms":-1e400})",
+       "\"deadline_ms\""},
+      {R"({"op":"join","r1":"a","r2":"b","e3":"X","max_join_entities":-1e300})",
+       "\"max_join_entities\""},
+      {R"({"op":"annotate","table":{"rows":[["a"]],"id":1e300}})", "\"id\""},
+  };
+  for (const auto& c : cases) {
+    Result<WireRequest> parsed = ParseWireRequest(c.line);
+    ASSERT_FALSE(parsed.ok()) << c.line;
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument) << c.line;
+    EXPECT_NE(parsed.status().message().find(c.field), std::string::npos)
+        << c.line << " -> " << parsed.status().ToString();
+  }
+
+  // The extremes that do fit still parse; fractions truncate.
+  Result<WireRequest> edge = ParseWireRequest(
+      R"({"op":"search","engine":"type","e2":"x","k":2147483647,)"
+      R"("deadline_ms":-9.2e18})");
+  ASSERT_TRUE(edge.ok()) << edge.status().ToString();
+  EXPECT_EQ(edge->top_k, 2147483647);
+  EXPECT_EQ(edge->deadline_ms, int64_t{-9200000000000000000});
+  Result<WireRequest> low = ParseWireRequest(
+      R"({"op":"join","r1":"a","r2":"b","e3":"X","k":-2147483648,)"
+      R"("max_join_entities":7.9})");
+  ASSERT_TRUE(low.ok()) << low.status().ToString();
+  EXPECT_EQ(low->top_k, -2147483648);
+  EXPECT_EQ(low->join.max_join_entities, 7);
+}
+
+/// Answers one search/join line the way serve_tool does (parse,
+/// resolve, run the engine, render with stats) over the Figure 1
+/// corpus. Rendered meta stays zeroed, so equal answers are equal bytes.
+std::string AnswerWireLine(const std::string& line, const Figure1World& w,
+                           const CorpusView& corpus) {
+  Result<WireRequest> wire = ParseWireRequest(line);
+  if (!wire.ok()) return RenderErrorResponse(wire.status());
+  const TopKOptions topk{std::max(0, wire->top_k), /*prune=*/true};
+  SearchWorkspace ws;
+  SearchResponse response;
+  if (wire->op == WireRequest::Op::kJoin) {
+    JoinSearch(corpus, ResolveJoinQuery(wire->join, w.catalog), topk, &ws,
+               &response.results);
+  } else {
+    const SelectQuery query = ResolveSelectQuery(wire->select, w.catalog);
+    const NormalizedSelectQuery normalized = NormalizeSelectQuery(query);
+    switch (wire->engine) {
+      case EngineKind::kBaseline:
+        BaselineSearch(corpus, query, normalized, topk, &ws,
+                       &response.results);
+        break;
+      case EngineKind::kType:
+        TypeSearch(corpus, query, normalized, topk, &ws, &response.results);
+        break;
+      default:
+        TypeRelationSearch(corpus, query, normalized, topk, &ws,
+                           &response.results);
+        break;
+    }
+  }
+  response.stats = ws.stats();
+  response.has_stats = true;
+  return RenderSearchResponse(response, &w.catalog,
+                              wire->top_k > 0 ? wire->top_k : 10,
+                              wire->want_stats);
+}
+
+TEST(WireRequestTest, ParallelismFieldIsIgnored) {
+  // Older clients send "parallelism" on search and join requests. The
+  // parser does not read it, so any value, even one no integer holds,
+  // leaves the answer byte-identical to the request without it.
+  Figure1World w = MakeFigure1World();
+  ClosureCache closure(&w.catalog);
+  AnnotatedTable at;
+  at.table = MakeFigure1Table();
+  at.annotation = TableAnnotation::Empty(2, 2);
+  at.annotation.column_types[0] = w.book;
+  at.annotation.column_types[1] = w.person;
+  at.annotation.cell_entities[0][0] = w.b95;
+  at.annotation.cell_entities[1][0] = w.b41;
+  at.annotation.cell_entities[0][1] = w.stannard;
+  at.annotation.cell_entities[1][1] = w.einstein;
+  at.annotation.relations[{0, 1}] = RelationCandidate{w.author, false};
+  std::vector<AnnotatedTable> tables;
+  tables.push_back(std::move(at));
+  CorpusIndex corpus(std::move(tables), &closure);
+
+  // Each base line ends in "}" so a field can be spliced in before it.
+  const std::string bases[] = {
+      R"({"op":"search","engine":"type_relation","relation":"author",)"
+      R"("type1":"book","type2":"person","e2":"A. Einstein","stats":true})",
+      R"({"op":"search","engine":"type","type1":"book","type2":"person",)"
+      R"("e2":"Russell Stannard","k":1,"stats":true})",
+      R"({"op":"search","engine":"baseline","relation":"written by",)"
+      R"("type1":"title","type2":"written by","e2":"A. Einstein"})",
+      R"({"op":"join","r1":"author","r2":"author","e3":"Albert Einstein",)"
+      R"("e1_is_subject":false,"stats":true})",
+  };
+  for (const std::string& base : bases) {
+    const std::string want = AnswerWireLine(base, w, corpus);
+    ASSERT_NE(want.find("\"ok\":true"), std::string::npos) << want;
+    for (const char* field : {R"(,"parallelism":4)",
+                              R"(,"parallelism":1e30)"}) {
+      const std::string line =
+          base.substr(0, base.size() - 1) + field + "}";
+      EXPECT_EQ(AnswerWireLine(line, w, corpus), want) << line;
+    }
+  }
 }
 
 TEST(WireToTableTest, BuildsAndValidates) {

@@ -64,11 +64,7 @@ const std::vector<BenchSpec>& Specs() {
         {"join.speedup", Direction::kHigherBetter},
         {"batch_kernel.geomean_full_speedup", Direction::kHigherBetter},
         {"steady_state_allocations_per_query", Direction::kExactZero},
-        {"metrics_overhead_fraction", Direction::kLowerBetter},
-        {"parallel_kernel.byte_identical", Direction::kBoolTrue},
-        {"parallel_kernel.speedup_4shard", Direction::kHigherBetter},
-        {"parallel_kernel.steady_state_allocations_per_query",
-         Direction::kExactZero}}},
+        {"metrics_overhead_fraction", Direction::kLowerBetter}}},
       {"candidates",
        {{"candidate_generation.speedup", Direction::kHigherBetter},
         {"batch_kernel.postings_pruned_fraction",
@@ -76,8 +72,7 @@ const std::vector<BenchSpec>& Specs() {
         {"f1_scoring.speedup", Direction::kHigherBetter}}},
       {"serving",
        {{"failures", Direction::kExactZero},
-        {"byte_identical_verified", Direction::kBoolTrue},
-        {"intra_query_parallelism.on.failures", Direction::kExactZero}}},
+        {"byte_identical_verified", Direction::kBoolTrue}}},
       {"annotate_parallel",
        {{"annotations_identical", Direction::kBoolTrue},
         {"speedup_4threads", Direction::kHigherBetter}}},

@@ -139,9 +139,6 @@ bool HandleLine(WebTabService* service, const std::string& line,
       // with safe pruning); without it the engines run the exact full
       // ranking and only the rendered list is truncated below.
       TopKOptions topk{std::max(0, request.top_k), /*prune=*/true};
-      // Wire "parallelism": 0/absent defers to the server's
-      // search_shards default; the service clamps whatever arrives.
-      topk.parallelism = request.parallelism;
       serve::SearchResponse response;
       for (int attempt = 0; attempt < 3; ++attempt) {
         if (request.op == WireRequest::Op::kSearch) {
@@ -398,7 +395,6 @@ int Run(int argc, char** argv) {
   std::string snapshot_path;
   int64_t port = 0, workers = 4, queue_cap = 256, deadline_ms = 0;
   int64_t cache_cap = 1024, synth_tables = 0, seed = 42;
-  int64_t search_shards = 1;
   int64_t slow_ms = 0, slow_exemplars = 32;
   int64_t dashboard_interval_ms = 2000, dashboard_window_s = 60;
   bool no_validate = false, no_precompute = false, metrics_dump = false;
@@ -411,9 +407,6 @@ int Run(int argc, char** argv) {
   flags.AddInt("deadline-ms", &deadline_ms,
                "default per-request deadline (0 = none)");
   flags.AddInt("cache-cap", &cache_cap, "result cache entries (0 = off)");
-  flags.AddInt("search-shards", &search_shards,
-               "max intra-query scatter-gather fan-out (1 = sequential "
-               "kernel; requests clamp their \"parallelism\" to this)");
   flags.AddInt("synth-tables", &synth_tables,
                "build a demo snapshot with N annotated tables first");
   flags.AddInt("seed", &seed, "demo snapshot seed");
@@ -468,7 +461,6 @@ int Run(int argc, char** argv) {
   options.queue_capacity = static_cast<int>(queue_cap);
   options.default_deadline_ms = deadline_ms;
   options.result_cache_capacity = static_cast<int>(cache_cap);
-  options.search_shards = static_cast<int>(std::max<int64_t>(1, search_shards));
   options.slow_request_ms = static_cast<double>(slow_ms);
   options.slow_exemplar_capacity = static_cast<int>(slow_exemplars);
   WebTabService service(&manager, options);
