@@ -50,7 +50,9 @@ TableAnnotation TableAnnotator::AnnotateWithCandidates(
 
   stage.Restart();
   obs::TraceSpan graph_span("annotate.graph_build");
+  obs::TraceSpan label_space_span("annotate.label_space");
   TableLabelSpace space = TableLabelSpace::Build(table, *candidates_out);
+  label_space_span.End();
   TableGraphOptions graph_options;
   graph_options.use_relations = options_.use_relations;
   graph_options.factor_rep = options_.factor_rep;

@@ -168,4 +168,39 @@ bool ClosureCache::EntityHasType(EntityId e, TypeId t) {
   return Dist(e, t) != kUnreachable;
 }
 
+int64_t ClosureCache::ExtentOverlap(TypeId a, TypeId b) {
+  const std::vector<EntityId>& ea = EntitiesOf(a);
+  const std::vector<EntityId>& eb = EntitiesOf(b);
+  int64_t n = 0;
+  size_t i = 0;
+  size_t j = 0;
+  while (i < ea.size() && j < eb.size()) {
+    if (ea[i] == eb[j]) {
+      ++n;
+      ++i;
+      ++j;
+    } else if (ea[i] < eb[j]) {
+      ++i;
+    } else {
+      ++j;
+    }
+  }
+  return n;
+}
+
+double ClosureCache::TypeOverlapRatio(TypeId t_prime, TypeId t) {
+  const uint64_t key =
+      (static_cast<uint64_t>(static_cast<uint32_t>(t_prime)) << 32) |
+      static_cast<uint32_t>(t);
+  auto it = type_overlap_.find(key);
+  if (it != type_overlap_.end()) return it->second;
+  const int64_t extent = EntityCount(t_prime);
+  const double ratio =
+      extent == 0 ? 0.0
+                  : static_cast<double>(ExtentOverlap(t_prime, t)) /
+                        static_cast<double>(extent);
+  type_overlap_.emplace(key, ratio);
+  return ratio;
+}
+
 }  // namespace webtab

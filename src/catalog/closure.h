@@ -79,6 +79,18 @@ class ClosureCache {
   /// True iff e ∈+ t.
   bool EntityHasType(EntityId e, TypeId t);
 
+  /// |E(a) ∩ E(b)| by a merge of the two sorted extensions (not
+  /// memoized).
+  int64_t ExtentOverlap(TypeId a, TypeId b);
+
+  /// |E(T') ∩ E(T)| / |E(T')|; 0 when E(T') is empty (§4.2.3, "Missing
+  /// links"). The ratio depends on the two types alone, while the
+  /// missing-link score asks for it once per (cell, candidate entity,
+  /// candidate type), so it is memoized per ordered pair. The memo holds
+  /// at most (distinct direct types seen) × (candidate types seen)
+  /// entries, fills lazily per worker and is not copied by SeedFrom.
+  double TypeOverlapRatio(TypeId t_prime, TypeId t);
+
  private:
   const CatalogView* catalog_;
 
@@ -88,6 +100,8 @@ class ClosureCache {
   std::unordered_map<TypeId, std::vector<EntityId>> entities_of_;
   std::unordered_map<TypeId, std::vector<TypeId>> type_ancestors_;
   std::unordered_map<TypeId, int> min_entity_dist_;
+  /// (t_prime << 32 | t) -> TypeOverlapRatio(t_prime, t).
+  std::unordered_map<uint64_t, double> type_overlap_;
 };
 
 }  // namespace webtab

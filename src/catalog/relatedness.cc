@@ -4,54 +4,33 @@
 
 namespace webtab {
 
-namespace {
-// Size of intersection of two sorted vectors.
-int64_t SortedIntersectionSize(const std::vector<EntityId>& a,
-                               const std::vector<EntityId>& b) {
-  int64_t n = 0;
-  size_t i = 0;
-  size_t j = 0;
-  while (i < a.size() && j < b.size()) {
-    if (a[i] == b[j]) {
-      ++n;
-      ++i;
-      ++j;
-    } else if (a[i] < b[j]) {
-      ++i;
-    } else {
-      ++j;
-    }
-  }
-  return n;
-}
-}  // namespace
-
-double TypeOverlapRatio(ClosureCache* cache, TypeId t_prime, TypeId t) {
-  const auto& ext_prime = cache->EntitiesOf(t_prime);
-  if (ext_prime.empty()) return 0.0;
-  const auto& ext = cache->EntitiesOf(t);
-  int64_t inter = SortedIntersectionSize(ext_prime, ext);
-  return static_cast<double>(inter) / static_cast<double>(ext_prime.size());
-}
-
 double MissingLinkScore(ClosureCache* cache, EntityId e, TypeId t) {
-  const auto direct = cache->catalog().EntityDirectTypes(e);
-  if (direct.empty()) return 0.0;
-  int min_dist = cache->MinEntityDist(t);
-  if (min_dist >= kUnreachable) return 0.0;
+  return MissingLinkScore(
+      MinDirectTypeOverlap(cache, cache->catalog().EntityDirectTypes(e), t),
+      cache->MinEntityDist(t));
+}
+
+double MinDirectTypeOverlap(ClosureCache* cache,
+                            std::span<const TypeId> direct_types, TypeId t) {
+  if (direct_types.empty()) return 0.0;
   double min_ratio = 1.0;
-  for (TypeId t_prime : direct) {
-    min_ratio = std::min(min_ratio, TypeOverlapRatio(cache, t_prime, t));
+  for (TypeId t_prime : direct_types) {
+    min_ratio = std::min(min_ratio, cache->TypeOverlapRatio(t_prime, t));
   }
-  return min_ratio / static_cast<double>(min_dist);
+  return min_ratio;
+}
+
+double MissingLinkScore(double min_overlap, int min_entity_dist) {
+  if (min_entity_dist >= kUnreachable) return 0.0;
+  return min_overlap / static_cast<double>(min_entity_dist);
 }
 
 double TypeExtensionJaccard(ClosureCache* cache, TypeId t1, TypeId t2) {
-  const auto& a = cache->EntitiesOf(t1);
-  const auto& b = cache->EntitiesOf(t2);
-  if (a.empty() && b.empty()) return 0.0;
-  int64_t inter = SortedIntersectionSize(a, b);
-  int64_t uni = static_cast<int64_t>(a.size() + b.size()) - inter;
+  const int64_t a = cache->EntityCount(t1);
+  const int64_t b = cache->EntityCount(t2);
+  if (a == 0 && b == 0) return 0.0;
+  const int64_t inter = cache->ExtentOverlap(t1, t2);
+  const int64_t uni = a + b - inter;
   return uni == 0 ? 0.0
                   : static_cast<double>(inter) / static_cast<double>(uni);
 }

@@ -5,49 +5,62 @@
 #include <unordered_map>
 
 #include "common/logging.h"
+#include "obs/trace.h"
 
 namespace webtab {
 
 namespace {
 
-/// Emits one φ3 factor. Structured mode collects the nonzero
-/// type-entity scores into a sparse pairwise factor (φ3 is 0 whenever a
-/// label is na or the pair is incompatible with no missing-link hint),
-/// but only when the sparse kernel is the cheaper one: the dense
-/// pairwise sweep costs ~cells ops while the sparse sweep costs
-/// ~2.5·(L0+L1) + 5·nnz (measured constants), so small or dense factors
-/// keep the plain table. Large type domains (the paper runs them
-/// uncapped, in the hundreds) are where the sparse form pays off.
-void EmitPhi3(const std::vector<TypeId>& types,
-              const std::vector<EntityId>& ents, int type_var,
-              int entity_var, FeatureComputer* features, const Weights& w,
-              FactorRepChoice rep, FactorGraph* graph) {
-  if (rep == FactorRepChoice::kDense) {
-    std::vector<double> tab(types.size() * ents.size(), 0.0);
-    for (size_t lt = 1; lt < types.size(); ++lt) {
-      for (size_t le = 1; le < ents.size(); ++le) {
-        tab[lt * ents.size() + le] = features->Phi3Log(w, types[lt], ents[le]);
-      }
+/// Fills `tab` (types × ents, row-major by type) with φ3
+/// log-potentials. The structured build reads them from the column's
+/// Phi3Column, which hoists the repeated work out of per-pair Phi3Log;
+/// kDense keeps the per-pair Phi3Log as the oracle the equivalence tests
+/// compare against. Both are bit-identical.
+void FillPhi3Table(const std::vector<TypeId>& types,
+                   const std::vector<EntityId>& ents, Phi3Column* column,
+                   FeatureComputer* features, const Weights& w,
+                   FactorRepChoice rep, std::vector<double>* tab) {
+  if (rep == FactorRepChoice::kStructured) {
+    column->FillTable(ents, tab);
+    return;
+  }
+  const size_t n = ents.size();
+  tab->assign(types.size() * n, 0.0);
+  for (size_t lt = 1; lt < types.size(); ++lt) {
+    for (size_t le = 1; le < n; ++le) {
+      (*tab)[lt * n + le] = features->Phi3Log(w, types[lt], ents[le]);
     }
+  }
+}
+
+/// Emits one φ3 factor from its value table. Structured mode collects
+/// the nonzero type-entity scores into a sparse pairwise factor (φ3 is 0
+/// whenever a label is na or the pair is incompatible with no
+/// missing-link hint), but only when the sparse kernel is the cheaper
+/// one: the dense pairwise sweep costs ~cells ops while the sparse sweep
+/// costs ~2.5·(L0+L1) + 5·nnz (measured constants), so small or dense
+/// factors keep the plain table. Large type domains (the paper runs them
+/// uncapped, in the hundreds) are where the sparse form pays off.
+void EmitPhi3(std::vector<double> tab, size_t num_types, size_t num_ents,
+              int type_var, int entity_var, FactorRepChoice rep,
+              FactorGraph* graph) {
+  if (rep == FactorRepChoice::kDense) {
     graph->AddFactor({type_var, entity_var}, std::move(tab), kGroupPhi3);
     return;
   }
   std::vector<FactorGraph::SparseEntry> entries;
-  for (size_t lt = 1; lt < types.size(); ++lt) {
-    for (size_t le = 1; le < ents.size(); ++le) {
-      double v = features->Phi3Log(w, types[lt], ents[le]);
+  for (size_t lt = 1; lt < num_types; ++lt) {
+    for (size_t le = 1; le < num_ents; ++le) {
+      const double v = tab[lt * num_ents + le];
       if (v != 0.0) {
         entries.push_back({static_cast<int32_t>(lt),
                            static_cast<int32_t>(le), v});
       }
     }
   }
-  const size_t cells = types.size() * ents.size();
-  const size_t sparse_cost =
-      5 * (types.size() + ents.size()) + 10 * entries.size();
+  const size_t cells = num_types * num_ents;
+  const size_t sparse_cost = 5 * (num_types + num_ents) + 10 * entries.size();
   if (2 * cells <= sparse_cost) {
-    std::vector<double> tab(cells, 0.0);
-    for (const auto& e : entries) tab[e.l0 * ents.size() + e.l1] = e.value;
     graph->AddFactor({type_var, entity_var}, std::move(tab), kGroupPhi3);
     return;
   }
@@ -249,6 +262,7 @@ TableGraph BuildTableGraph(const Table& table, const TableLabelSpace& space,
   tg.type_var.assign(table.cols(), -1);
 
   // --- Variables + node potentials. ---
+  obs::TraceSpan node_span("annotate.node_potentials");
   for (int c = 0; c < table.cols(); ++c) {
     const auto& domain = space.TypeDomain(c);
     if (domain.size() <= 1) continue;
@@ -273,22 +287,34 @@ TableGraph BuildTableGraph(const Table& table, const TableLabelSpace& space,
       tg.graph.SetNodeLogPotential(v, std::move(pot));
     }
   }
+  node_span.End();
 
   // --- φ3 factors: (type_c, entity_rc). ---
+  obs::TraceSpan phi3_span("annotate.phi3");
+  int64_t phi3_pairs = 0;
   for (int c = 0; c < table.cols(); ++c) {
     if (tg.type_var[c] < 0) continue;
     const auto& types = space.TypeDomain(c);
+    Phi3Column column(features, w, types);
     for (int r = 0; r < table.rows(); ++r) {
       if (tg.entity_var[r][c] < 0) continue;
-      EmitPhi3(types, space.EntityDomain(r, c), tg.type_var[c],
-               tg.entity_var[r][c], features, w, options.factor_rep,
-               &tg.graph);
+      const auto& ents = space.EntityDomain(r, c);
+      std::vector<double> tab;
+      FillPhi3Table(types, ents, &column, features, w, options.factor_rep,
+                    &tab);
+      phi3_pairs += static_cast<int64_t>((types.size() - 1) *
+                                         (ents.size() - 1));
+      EmitPhi3(std::move(tab), types.size(), ents.size(), tg.type_var[c],
+               tg.entity_var[r][c], options.factor_rep, &tg.graph);
     }
   }
+  obs::TraceAddCounter("phi3_pairs", phi3_pairs);
+  phi3_span.End();
 
   if (!options.use_relations) return tg;
 
   // --- Relation variables + φ5 + φ4. ---
+  obs::TraceSpan relations_span("annotate.relations");
   for (const std::pair<int, int>& pair : space.column_pairs()) {
     const auto& domain = space.RelationDomain(pair.first, pair.second);
     if (domain.size() <= 1) continue;

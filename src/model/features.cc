@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 
 #include "catalog/relatedness.h"
 #include "common/logging.h"
@@ -52,29 +53,24 @@ FeatureComputer::FeatureComputer(ClosureCache* closure, Vocabulary* vocab,
   WEBTAB_CHECK(vocab != nullptr);
 }
 
-void FeatureComputer::SyncScratch() const {
-  similarity_.MaybeCompact();
-  if (similarity_.epoch() != similarity_epoch_) {
-    f1_cache_.clear();
-    f2_cache_.clear();
-    similarity_epoch_ = similarity_.epoch();
-  }
-}
-
 namespace {
 
 /// Max over lemma measure bundles — the scratch-backed twin of
-/// TextSimilarityFeatures, consuming memoized per-(string, lemma)
-/// bundles instead of recomputing each measure. Streaming max over the
+/// TextSimilarityFeatures, scoring prepared strings instead of
+/// re-tokenizing both sides for every measure. Streaming max over the
 /// same per-lemma values in the same order gives identical doubles.
+/// The scratch compacts (when over budget) only here, before the query
+/// is prepared, so prepared ids stay valid through the loop.
 template <size_t N, typename LemmaAt>
-void BundleSimilarityFeatures(SimilarityScratch* scratch, int32_t query,
-                              int32_t num_lemmas, LemmaAt lemma_at,
-                              std::array<double, N>* out) {
+void BundleSimilarityFeatures(SimilarityScratch* scratch,
+                              std::string_view text, int32_t num_lemmas,
+                              LemmaAt lemma_at, std::array<double, N>* out) {
   static_assert(N >= 6);
+  scratch->MaybeCompact();
+  const int32_t query = scratch->Prepare(text);
   for (int32_t i = 0; i < num_lemmas; ++i) {
     int32_t lemma = scratch->Prepare(lemma_at(i));
-    const auto& m = scratch->Measures(query, lemma);
+    const auto m = scratch->Measures(query, lemma);
     (*out)[0] = std::max((*out)[0], m[SimilarityScratch::kCosine]);
     (*out)[1] = std::max((*out)[1], m[SimilarityScratch::kJaccard]);
     (*out)[2] = std::max((*out)[2], m[SimilarityScratch::kDice]);
@@ -104,17 +100,9 @@ std::array<double, kF1Size> FeatureComputer::F1(std::string_view cell_text,
     f[5] = 1.0;
     return f;
   }
-  SyncScratch();
-  const int32_t query = similarity_.Prepare(cell_text);
-  const uint64_t key =
-      (static_cast<uint64_t>(static_cast<uint32_t>(query)) << 32) |
-      static_cast<uint32_t>(e);
-  auto it = f1_cache_.find(key);
-  if (it != f1_cache_.end()) return it->second;
   BundleSimilarityFeatures(
-      &similarity_, query, n,
+      &similarity_, cell_text, n,
       [&](int32_t i) { return cat.EntityLemma(e, i); }, &f);
-  f1_cache_.emplace(key, f);
   return f;
 }
 
@@ -140,24 +128,39 @@ std::array<double, kF2Size> FeatureComputer::F2(std::string_view header_text,
     f[5] = 1.0;
     return f;
   }
-  SyncScratch();
-  const int32_t query = similarity_.Prepare(header_text);
-  const uint64_t key =
-      (static_cast<uint64_t>(static_cast<uint32_t>(query)) << 32) |
-      static_cast<uint32_t>(t);
-  auto it = f2_cache_.find(key);
-  if (it != f2_cache_.end()) return it->second;
   BundleSimilarityFeatures(
-      &similarity_, query, n,
+      &similarity_, header_text, n,
       [&](int32_t i) { return cat.TypeLemma(t, i); }, &f);
-  f2_cache_.emplace(key, f);
   return f;
 }
 
 std::array<double, kF3Size> FeatureComputer::F3(TypeId t, EntityId e) {
+  if (t == kNa || e == kNa) return {};
+  const int dist = closure_->Dist(e, t);
+  const double min_overlap =
+      dist == kUnreachable && options_.use_missing_link
+          ? MinDirectTypeOverlap(closure_, catalog().EntityDirectTypes(e), t)
+          : 0.0;
+  return F3(F3Terms(t), dist, min_overlap);
+}
+
+FeatureComputer::F3TypeTerms FeatureComputer::F3Terms(TypeId t) {
+  F3TypeTerms terms;
+  // Specificity |E|/|E(T)| on log scale, normalized to [0,1] by the
+  // maximum possible specificity log |E|.
+  const double total = static_cast<double>(catalog().num_entities());
+  if (total > 1.0) {
+    terms.specificity =
+        std::log(closure_->TypeSpecificity(t)) / std::log(total + 1.0);
+  }
+  terms.min_entity_dist = closure_->MinEntityDist(t);
+  return terms;
+}
+
+std::array<double, kF3Size> FeatureComputer::F3(const F3TypeTerms& terms,
+                                                int dist,
+                                                double min_overlap) const {
   std::array<double, kF3Size> f{};
-  if (t == kNa || e == kNa) return f;
-  int dist = closure_->Dist(e, t);
   if (dist != kUnreachable) {
     switch (options_.compat_mode) {
       case CompatMode::kRecipSqrtDist:
@@ -170,16 +173,11 @@ std::array<double, kF3Size> FeatureComputer::F3(TypeId t, EntityId e) {
         f[0] = 0.0;  // Distance signal disabled; IDF carries φ3.
         break;
     }
-    // Specificity |E|/|E(T)| on log scale, normalized to [0,1] by the
-    // maximum possible specificity log |E|.
-    double total = static_cast<double>(catalog().num_entities());
-    if (total > 1.0) {
-      f[1] = std::log(closure_->TypeSpecificity(t)) / std::log(total + 1.0);
-    }
+    f[1] = terms.specificity;
     f[3] = 1.0;  // Bias (compatible pair).
   } else if (options_.use_missing_link) {
     // §4.2.3 "Missing links": indirect evidence that E ∈+ T was omitted.
-    f[2] = MissingLinkScore(closure_, e, t);
+    f[2] = MissingLinkScore(min_overlap, terms.min_entity_dist);
     if (f[2] > 0.0) f[3] = 1.0;
   }
   return f;
@@ -290,6 +288,68 @@ double FeatureComputer::Phi5Log(const Weights& w, const RelationCandidate& b,
                                 EntityId e1, EntityId e2) const {
   if (b.is_na() || e1 == kNa || e2 == kNa) return 0.0;
   return Dot(w.w5, F5(b, e1, e2));
+}
+
+Phi3Column::Phi3Column(FeatureComputer* features, const Weights& w,
+                       const std::vector<TypeId>& types)
+    : features_(features),
+      w_(w),
+      types_(types),
+      terms_(types.size()),
+      dist_(types.size()),
+      min_overlap_(types.size()) {
+  for (size_t lt = 1; lt < types.size(); ++lt) {
+    terms_[lt] = features->F3Terms(types[lt]);
+    index_of_type_.emplace(types[lt], static_cast<int>(lt));
+  }
+}
+
+const double* Phi3Column::OverlapRow(TypeId t_prime) {
+  auto [it, inserted] =
+      overlap_row_of_.emplace(t_prime, overlap_rows_.size());
+  if (inserted) {
+    ClosureCache* closure = features_->closure();
+    overlap_rows_.push_back(0.0);  // na column.
+    for (size_t lt = 1; lt < types_.size(); ++lt) {
+      overlap_rows_.push_back(closure->TypeOverlapRatio(t_prime, types_[lt]));
+    }
+  }
+  return overlap_rows_.data() + it->second;
+}
+
+void Phi3Column::FillTable(const std::vector<EntityId>& ents,
+                           std::vector<double>* tab) {
+  const size_t n = ents.size();
+  tab->assign(types_.size() * n, 0.0);
+  ClosureCache* closure = features_->closure();
+  const bool missing_link = features_->options().use_missing_link;
+  for (size_t le = 1; le < n; ++le) {
+    // dist(e, T) for every column type, from e's few ancestors rather
+    // than one distance-map probe per type.
+    std::fill(dist_.begin(), dist_.end(), kUnreachable);
+    for (const auto& [t, d] : closure->AncestorDistances(ents[le])) {
+      auto it = index_of_type_.find(t);
+      if (it != index_of_type_.end()) dist_[it->second] = d;
+    }
+    if (missing_link) {
+      // MinDirectTypeOverlap for every column type, over rows shared by
+      // every candidate with the same direct type.
+      const std::span<const TypeId> direct =
+          features_->catalog().EntityDirectTypes(ents[le]);
+      std::fill(min_overlap_.begin(), min_overlap_.end(),
+                direct.empty() ? 0.0 : 1.0);
+      for (TypeId t_prime : direct) {
+        const double* row = OverlapRow(t_prime);
+        for (size_t lt = 1; lt < types_.size(); ++lt) {
+          min_overlap_[lt] = std::min(min_overlap_[lt], row[lt]);
+        }
+      }
+    }
+    for (size_t lt = 1; lt < types_.size(); ++lt) {
+      (*tab)[lt * n + le] =
+          Dot(w_.w3, features_->F3(terms_[lt], dist_[lt], min_overlap_[lt]));
+    }
+  }
 }
 
 }  // namespace webtab

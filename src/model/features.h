@@ -4,6 +4,7 @@
 #include <array>
 #include <string_view>
 #include <unordered_map>
+#include <vector>
 
 #include "catalog/closure.h"
 #include "model/weights.h"
@@ -18,11 +19,14 @@ struct FeatureOptions {
   CompatMode compat_mode = CompatMode::kRecipSqrtDist;
   /// Disables the φ3 missing-link hint (ablation A3 in DESIGN.md).
   bool use_missing_link = true;
-  /// Memoize f1/f2 similarity vectors per distinct (string, label) via
-  /// a SimilarityScratch, reused across rows, BP feature evaluation and
-  /// training epochs. Results are bit-identical either way (asserted in
+  /// Score f1/f2 through a SimilarityScratch, which prepares each
+  /// distinct string once and memoizes Jaro-Winkler per token pair.
+  /// Results are bit-identical either way (asserted in
   /// tests/candidate_equivalence_test.cc); disabling exists for
   /// ablation and the before/after numbers in bench/candidate_bench.cc.
+  /// There is no memo per (string, label) pair or per f1/f2 vector: its
+  /// memory grew with the tables a worker served, and fresh tables
+  /// rarely repeat a pair, so it bought no latency.
   bool use_similarity_scratch = true;
 };
 
@@ -87,9 +91,23 @@ class FeatureComputer {
   double Participation(RelationId rel, TypeId t, bool object_role);
 
  private:
-  /// Reconciles the f1/f2 memos with the scratch's epoch (the scratch
-  /// drops prepared ids when it compacts) — called before any Prepare.
-  void SyncScratch() const;
+  friend class Phi3Column;
+
+  /// The parts of f3(T, E) that depend on T alone (§4.2.3): the
+  /// specificity feature and MinEntityDist(T), the missing-link
+  /// denominator. T must not be na.
+  struct F3TypeTerms {
+    double specificity = 0.0;
+    int min_entity_dist = kUnreachable;
+  };
+  F3TypeTerms F3Terms(TypeId t);
+
+  /// f3(T, E) from its parts: `dist` = dist(E, T) and `min_overlap` =
+  /// MinDirectTypeOverlap(E's direct types, T), read only when E ∉+ T
+  /// and the missing-link hint is on. The one definition of f3's
+  /// arithmetic: F3(t, e) and Phi3Column both come here.
+  std::array<double, kF3Size> F3(const F3TypeTerms& terms, int dist,
+                                 double min_overlap) const;
 
   ClosureCache* closure_;
   Vocabulary* vocab_;
@@ -98,17 +116,45 @@ class FeatureComputer {
   // Cache: (rel, t, role) -> participation fraction.
   std::unordered_map<uint64_t, double> participation_cache_;
 
-  /// Shared prepared-string + pair-measure memo behind F1/F2. Mutable:
+  /// Prepared strings + Jaro-Winkler token memo behind F1/F2. Mutable:
   /// F1/F2 are logically const lookups (the computer is documented
   /// single-worker, not thread-safe).
   mutable SimilarityScratch similarity_;
-  mutable int64_t similarity_epoch_ = 0;
-  /// (prepared text id << 32 | label id) -> feature vector, valid for
-  /// the scratch epoch above.
-  mutable std::unordered_map<uint64_t, std::array<double, kF1Size>>
-      f1_cache_;
-  mutable std::unordered_map<uint64_t, std::array<double, kF2Size>>
-      f2_cache_;
+};
+
+/// φ3 log-potentials of one column's type domain against its cells'
+/// candidate entities, with the work that per-pair Phi3Log repeats
+/// hoisted out: the T-only terms once per column, the type-overlap
+/// ratios once per (column, direct type of some candidate), and each
+/// entity's ancestor distances once per cell. Values equal Phi3Log bit
+/// for bit (both go through FeatureComputer's one f3 definition and the
+/// same dot product). Lives for one column of one table build.
+class Phi3Column {
+ public:
+  /// `features`, `w` and `types` (a type domain, [0] == na) must
+  /// outlive the column.
+  Phi3Column(FeatureComputer* features, const Weights& w,
+             const std::vector<TypeId>& types);
+
+  /// Resizes `tab` to types × ents (row-major by type) and fills it with
+  /// Phi3Log(w, types[lt], ents[le]); the na row and column are 0.
+  void FillTable(const std::vector<EntityId>& ents, std::vector<double>* tab);
+
+ private:
+  /// TypeOverlapRatio(t_prime, types[lt]) for every lt, memoized per
+  /// column. Valid until the next call.
+  const double* OverlapRow(TypeId t_prime);
+
+  FeatureComputer* features_;
+  const Weights& w_;
+  const std::vector<TypeId>& types_;
+  std::vector<FeatureComputer::F3TypeTerms> terms_;
+  std::unordered_map<TypeId, int> index_of_type_;
+  std::unordered_map<TypeId, size_t> overlap_row_of_;
+  std::vector<double> overlap_rows_;
+  // Per-entity scratch over the column's types.
+  std::vector<int> dist_;
+  std::vector<double> min_overlap_;
 };
 
 }  // namespace webtab

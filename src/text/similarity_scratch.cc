@@ -20,16 +20,13 @@ SimilarityScratch::SimilarityScratch(Vocabulary* vocab, Options options)
 
 void SimilarityScratch::MaybeCompact() {
   if (prepared_.size() <= options_.max_prepared &&
-      pairs_.size() <= options_.max_pairs &&
       jw_memo_.size() <= options_.max_pairs) {
     return;
   }
   id_of_text_.clear();
   prepared_.clear();
-  pairs_.clear();
   soft_token_id_.clear();
   jw_memo_.clear();
-  ++epoch_;
 }
 
 int32_t SimilarityScratch::Prepare(std::string_view text) {
@@ -60,14 +57,8 @@ int32_t SimilarityScratch::Prepare(std::string_view text) {
   return id;
 }
 
-const std::array<double, SimilarityScratch::kNumMeasures>&
+std::array<double, SimilarityScratch::kNumMeasures>
 SimilarityScratch::Measures(int32_t a, int32_t b) {
-  const uint64_t key = (static_cast<uint64_t>(static_cast<uint32_t>(a))
-                        << 32) |
-                       static_cast<uint32_t>(b);
-  auto it = pairs_.find(key);
-  if (it != pairs_.end()) return it->second;
-
   const PreparedText& pa = prepared_[a];
   const PreparedText& pb = prepared_[b];
   std::array<double, kNumMeasures> m{};
@@ -104,7 +95,7 @@ SimilarityScratch::Measures(int32_t a, int32_t b) {
 
   m[kSoftTfIdf] = SoftTfIdfMemoized(pa, pb);
   m[kExact] = pa.normalized == pb.normalized ? 1.0 : 0.0;
-  return pairs_.emplace(key, m).first->second;
+  return m;
 }
 
 int32_t SimilarityScratch::InternSoftToken(const std::string& token) {

@@ -14,22 +14,24 @@
 
 namespace webtab {
 
-/// Reusable memoizing scratch for the f1/f2 text-similarity bundle
-/// (§4.2.1/4.2.2): TF-IDF cosine, Jaccard, Dice, soft-TFIDF and exact
-/// normalized match. Each distinct string is *prepared* once —
-/// tokenized, TF-IDF weighted, normalized — and each distinct
-/// (string, string) pair is scored once; repeats are O(1) lookups.
+/// Reusable scratch for the f1/f2 text-similarity bundle (§4.2.1/4.2.2):
+/// TF-IDF cosine, Jaccard, Dice, soft-TFIDF and exact normalized match.
+/// Two things are memoized. Each distinct string is *prepared* once —
+/// tokenized, TF-IDF weighted, normalized — and soft-TFIDF's
+/// Jaro-Winkler is computed once per distinct (token, token) pair.
 /// Web-table cells repeat heavily within a column and catalog lemmas
-/// repeat across every row that considers the entity, so preparing and
-/// pairing by distinct string removes the dominant redundancy of
-/// feature materialization. Values are bit-identical to the direct
+/// repeat across every row that considers the entity, so preparing by
+/// distinct string removes the dominant redundancy of feature
+/// materialization. Each (string, string) bundle is scored afresh from
+/// the prepared forms. There is no per-pair memo: its memory grew with
+/// the tables a worker served, and fresh tables rarely repeat a pair,
+/// so it bought no latency. Values are bit-identical to the direct
 /// similarity calls (the measures are computed by the same underlying
 /// implementations on identically-constructed inputs).
 ///
-/// Memory is bounded: when either cache exceeds its cap the scratch
-/// drops everything and bumps `epoch()`, signalling holders of prepared
-/// ids (FeatureComputer's f1/f2 memos) to drop theirs too. Not
-/// thread-safe; one per worker, like the Vocabulary it interns into.
+/// Memory is bounded: when either memo exceeds its cap the scratch
+/// drops both, invalidating every prepared id. Not thread-safe; one per
+/// worker, like the Vocabulary it interns into.
 class SimilarityScratch {
  public:
   struct Options {
@@ -49,12 +51,9 @@ class SimilarityScratch {
   SimilarityScratch& operator=(const SimilarityScratch&) = delete;
 
   /// Clears all caches when over budget. Call between evaluations, not
-  /// between Prepare and Measures (ids are stable only within an epoch).
+  /// between Prepare and Measures (ids are stable only until the next
+  /// compaction).
   void MaybeCompact();
-
-  /// Incremented on every compaction; prepared ids from older epochs
-  /// are invalid.
-  int64_t epoch() const { return epoch_; }
 
   /// Interns `text`, preparing it on first sight. The id is stable
   /// until the next compaction.
@@ -68,11 +67,10 @@ class SimilarityScratch {
   static constexpr int kExact = 4;
   static constexpr int kNumMeasures = 5;
 
-  /// The similarity bundle for the prepared pair (a, b), memoized.
-  const std::array<double, kNumMeasures>& Measures(int32_t a, int32_t b);
+  /// The similarity bundle for the prepared pair (a, b).
+  std::array<double, kNumMeasures> Measures(int32_t a, int32_t b);
 
   size_t num_prepared() const { return prepared_.size(); }
-  size_t num_pairs() const { return pairs_.size(); }
   size_t num_jw_pairs() const { return jw_memo_.size(); }
 
  private:
@@ -101,19 +99,17 @@ class SimilarityScratch {
 
   /// Soft-TFIDF over prepared weights with the token-pair Jaro-Winkler
   /// memo: structurally the SoftTfIdfFromWeights loop, with each
-  /// distinct (token, token) JW computed once per epoch instead of once
-  /// per (string, string) pairing. Bit-identical to the direct call —
-  /// JaroWinkler is deterministic, ids stand in for exact text equality,
-  /// and the accumulation order is unchanged.
+  /// distinct (token, token) JW computed once between compactions
+  /// instead of once per (string, string) pairing. Bit-identical to the
+  /// direct call — JaroWinkler is deterministic, ids stand in for exact
+  /// text equality, and the accumulation order is unchanged.
   double SoftTfIdfMemoized(const PreparedText& pa, const PreparedText& pb);
 
   Vocabulary* vocab_;
   Options options_;
-  int64_t epoch_ = 0;
   std::unordered_map<std::string, int32_t, StringHash, std::equal_to<>>
       id_of_text_;
   std::vector<PreparedText> prepared_;
-  std::unordered_map<uint64_t, std::array<double, kNumMeasures>> pairs_;
   /// Distinct soft-token texts -> dense ids, and the (id, id) -> JW memo.
   /// Column batches repeat tokens far more than whole cell strings, so
   /// the memo collapses the quadratic JW inner loop across pairings.

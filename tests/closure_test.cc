@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <iterator>
+
 #include "catalog/catalog_builder.h"
 #include "test_world.h"
 
@@ -158,6 +162,68 @@ TEST(ClosurePrecomputeTest, SeedFromClonesPrototypeAndStaysLazy) {
   for (EntityId e = 1; e < world.catalog.num_entities(); e += 97) {
     EXPECT_EQ(worker.TypeAncestors(e), fresh.TypeAncestors(e));
   }
+}
+
+/// TypeOverlapRatio against a fresh sorted intersection, for every
+/// ordered type pair of `catalog`, and a repeat call (a memo hit) returns
+/// the identical double. Returns the number of types with empty
+/// extensions.
+int CheckOverlapRatiosAgainstIntersection(const Catalog& catalog) {
+  ClosureCache closure(&catalog);
+  ClosureCache extents(&catalog);
+  int empty_types = 0;
+  for (TypeId a = 0; a < catalog.num_types(); ++a) {
+    const std::vector<EntityId>& ea = extents.EntitiesOf(a);
+    if (ea.empty()) ++empty_types;
+    for (TypeId b = 0; b < catalog.num_types(); ++b) {
+      const std::vector<EntityId>& eb = extents.EntitiesOf(b);
+      std::vector<EntityId> common;
+      std::set_intersection(ea.begin(), ea.end(), eb.begin(), eb.end(),
+                            std::back_inserter(common));
+      const double want =
+          ea.empty() ? 0.0
+                     : static_cast<double>(common.size()) /
+                           static_cast<double>(ea.size());
+      const double got = closure.TypeOverlapRatio(a, b);
+      EXPECT_EQ(std::bit_cast<uint64_t>(got), std::bit_cast<uint64_t>(want))
+          << a << " vs " << b;
+      EXPECT_EQ(std::bit_cast<uint64_t>(closure.TypeOverlapRatio(a, b)),
+                std::bit_cast<uint64_t>(got));
+    }
+  }
+  return empty_types;
+}
+
+TEST(TypeOverlapRatioMemoTest, MatchesFreshIntersectionOnGeneratedWorld) {
+  CheckOverlapRatiosAgainstIntersection(SharedWorld().catalog);
+}
+
+TEST(TypeOverlapRatioMemoTest, MatchesFreshIntersectionWithEmptyExtents) {
+  // Figure 1's types plus two with empty extensions: a leaf and an
+  // inner type whose only child is empty too.
+  CatalogBuilder builder;
+  const TypeId person = builder.AddType("person");
+  const TypeId physicist = builder.AddType("physicist");
+  WEBTAB_CHECK_OK(builder.AddSubtype(physicist, person));
+  const TypeId book = builder.AddType("book");
+  const TypeId lost = builder.AddType("lost works");
+  const TypeId lost_drafts = builder.AddType("lost drafts");
+  WEBTAB_CHECK_OK(builder.AddSubtype(lost_drafts, lost));
+  WEBTAB_CHECK_OK(builder.AddSubtype(lost, book));
+  const EntityId einstein = builder.AddEntity("Albert Einstein");
+  WEBTAB_CHECK_OK(builder.AddEntityType(einstein, physicist));
+  const EntityId stannard = builder.AddEntity("Russell Stannard");
+  WEBTAB_CHECK_OK(builder.AddEntityType(stannard, person));
+  for (const char* title : {"Uncle Albert", "Relativity"}) {
+    const EntityId e = builder.AddEntity(title);
+    WEBTAB_CHECK_OK(builder.AddEntityType(e, book));
+  }
+  // One entity sits in two types, so some ratios are strictly between
+  // 0 and 1.
+  WEBTAB_CHECK_OK(builder.AddEntityType(einstein, book));
+  Result<Catalog> built = builder.Build();
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  EXPECT_EQ(CheckOverlapRatiosAgainstIntersection(built.value()), 2);
 }
 
 }  // namespace

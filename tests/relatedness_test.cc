@@ -44,11 +44,10 @@ TEST(TypeOverlapRatioTest, ComputesFraction) {
   MissingLinkWorld w = MakeMissingLinkWorld();
   ClosureCache closure(&w.catalog);
   // E(year_books) = {book1..book4, damaged} = 5; 4 of them in series.
-  EXPECT_DOUBLE_EQ(TypeOverlapRatio(&closure, w.year_books, w.series_books),
+  EXPECT_DOUBLE_EQ(closure.TypeOverlapRatio(w.year_books, w.series_books),
                    0.8);
   // All series books are novels.
-  EXPECT_DOUBLE_EQ(TypeOverlapRatio(&closure, w.series_books, w.novel),
-                   1.0);
+  EXPECT_DOUBLE_EQ(closure.TypeOverlapRatio(w.series_books, w.novel), 1.0);
 }
 
 TEST(MissingLinkScoreTest, FiresForPlausibleMissingLink) {

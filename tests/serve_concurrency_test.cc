@@ -8,6 +8,7 @@
 
 #include <atomic>
 #include <cstdio>
+#include <latch>
 #include <string>
 #include <thread>
 #include <vector>
@@ -175,18 +176,37 @@ TEST_F(ServeConcurrencyTest, MixedTrafficDuringHotSwapIsByteIdentical) {
   service.Start();
 
   std::atomic<int> failures{0};
+  std::atomic<int> submitted{0};
   std::atomic<int> responses{0};
   std::atomic<bool> saw_v1{false}, saw_v2{false};
+  std::atomic<bool> swap_done{false};
+  // The swap starts once the first responses are back and the clients
+  // keep sending until it has returned, so it lands during traffic by
+  // construction, however fast the requests are served.
+  constexpr int kSwapAfterResponses = 2 * kClients;
+  std::latch traffic_flowing(kSwapAfterResponses);
+  auto record_response = [&](uint64_t version) {
+    if (version == 1) saw_v1 = true;
+    if (version == 2) saw_v2 = true;
+    if (responses.fetch_add(1) < kSwapAfterResponses) {
+      traffic_flowing.count_down();
+    }
+  };
 
   auto client = [&](int client_id) {
     EngineKind engines[3] = {EngineKind::kBaseline, EngineKind::kType,
                              EngineKind::kTypeRelation};
-    for (int i = 0; i < kRequestsPerClient; ++i) {
+    // At least kRequestsPerClient requests, the last of them sent after
+    // SwapSnapshot returned (so generation 2 answers it).
+    bool sent_after_swap = false;
+    for (int i = 0; i < kRequestsPerClient || !sent_after_swap; ++i) {
+      sent_after_swap = swap_done.load();
+      ++submitted;
       const int pick = client_id * 31 + i * 7;
       if (i % 6 == 5) {
         const Table& table = tables[pick % tables.size()];
         AnnotateResponse response = service.Annotate(table);
-        ++responses;
+        record_response(response.meta.snapshot_version);
         if (!response.status.ok() ||
             (response.meta.snapshot_version != 1 &&
              response.meta.snapshot_version != 2) ||
@@ -200,10 +220,8 @@ TEST_F(ServeConcurrencyTest, MixedTrafficDuringHotSwapIsByteIdentical) {
       const SelectQuery& query = queries[pick % queries.size()];
       EngineKind engine = engines[pick % 3];
       SearchResponse response = service.Search(engine, query);
-      ++responses;
       uint64_t v = response.meta.snapshot_version;
-      if (v == 1) saw_v1 = true;
-      if (v == 2) saw_v2 = true;
+      record_response(v);
       if (!response.status.ok() || (v != 1 && v != 2)) {
         ++failures;
         continue;
@@ -230,8 +248,9 @@ TEST_F(ServeConcurrencyTest, MixedTrafficDuringHotSwapIsByteIdentical) {
   for (int c = 0; c < kClients; ++c) clients.emplace_back(client, c);
 
   // Hot-swap to generation B while the clients are mid-flight.
-  std::this_thread::sleep_for(std::chrono::milliseconds(30));
+  traffic_flowing.wait();
   Status swapped = service.SwapSnapshot(*path_b_);
+  swap_done = true;
   EXPECT_TRUE(swapped.ok()) << swapped.ToString();
 
   for (std::thread& t : clients) t.join();
@@ -239,12 +258,13 @@ TEST_F(ServeConcurrencyTest, MixedTrafficDuringHotSwapIsByteIdentical) {
 
   EXPECT_EQ(failures.load(), 0);
   // Zero lost requests: every submission produced a response.
-  EXPECT_EQ(responses.load(), kClients * kRequestsPerClient);
+  EXPECT_GE(submitted.load(), kClients * kRequestsPerClient);
+  EXPECT_EQ(responses.load(), submitted.load());
   ServiceStats stats = service.stats();
   EXPECT_EQ(stats.rejected_overload, 0u);
-  EXPECT_EQ(stats.completed,
-            static_cast<uint64_t>(kClients * kRequestsPerClient));
-  EXPECT_TRUE(saw_v2.load());  // The swap landed while serving.
+  EXPECT_EQ(stats.completed, static_cast<uint64_t>(submitted.load()));
+  EXPECT_TRUE(saw_v1.load());  // Served before the swap...
+  EXPECT_TRUE(saw_v2.load());  // ...and after it.
 }
 
 TEST_F(ServeConcurrencyTest, ParallelIdenticalQueriesShareCache) {

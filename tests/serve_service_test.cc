@@ -467,6 +467,35 @@ TEST_F(ServeServiceTest, AnnotateTraceStagesCoverRequestTime) {
     }
     EXPECT_TRUE(found) << want;
   }
+  // Graph build breaks down by feature family one level down; the
+  // sub-stages nest inside it, so together they take no longer.
+  const char* kGraphStages[] = {"annotate.label_space",
+                                "annotate.node_potentials", "annotate.phi3",
+                                "annotate.relations"};
+  double graph_ms = -1.0;
+  for (const auto& stage : response.trace.stages) {
+    if (std::string(stage.name) == "annotate.graph_build") {
+      graph_ms = stage.ms;
+    }
+  }
+  double graph_sub_ms = 0.0;
+  for (const char* want : kGraphStages) {
+    bool found = false;
+    for (const auto& stage : response.trace.stages) {
+      if (std::string(stage.name) == want) {
+        EXPECT_EQ(stage.depth, 1) << want;
+        graph_sub_ms += stage.ms;
+        found = true;
+      }
+    }
+    EXPECT_TRUE(found) << want;
+  }
+  EXPECT_LE(graph_sub_ms, graph_ms);
+  int64_t phi3_pairs = 0;
+  for (const auto& counter : response.trace.counters) {
+    if (std::string(counter.name) == "phi3_pairs") phi3_pairs = counter.value;
+  }
+  EXPECT_GT(phi3_pairs, 0);
   // The acceptance bar: the traced stages account for the request's
   // work time to within 10%.
   EXPECT_GT(response.trace.total_ms, 0.0);

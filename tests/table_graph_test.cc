@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <map>
+#include <utility>
+
 #include "inference/belief_propagation.h"
 #include "inference/brute_force.h"
+#include "synth/corpus_generator.h"
 #include "test_world.h"
 
 namespace webtab {
@@ -12,6 +17,8 @@ namespace {
 using testing_util::Figure1World;
 using testing_util::MakeFigure1Table;
 using testing_util::MakeFigure1World;
+using testing_util::SharedIndex;
+using testing_util::SharedWorld;
 
 class TableGraphTest : public ::testing::Test {
  protected:
@@ -154,6 +161,162 @@ TEST_F(TableGraphTest, BpMatchesBruteForceOnFigure1) {
   Result<BruteForceResult> exact = SolveBruteForce(graph.graph, 10000000);
   ASSERT_TRUE(exact.ok()) << exact.status().ToString();
   EXPECT_NEAR(bp.score, exact->score, 1e-6);
+}
+
+/// Checks every φ3 factor of the structured graph against a per-pair
+/// Phi3Log oracle on a fresh closure: bit for bit, for every (type,
+/// entity) pair of the label space, na rows and columns included.
+/// Returns the number of non-na pairs checked.
+int64_t ExpectPhi3MatchesOracle(const CatalogView& catalog,
+                                Vocabulary* vocab, const Table& table,
+                                const TableLabelSpace& space,
+                                const FeatureOptions& options) {
+  const Weights w = Weights::Default();
+  ClosureCache closure(&catalog);
+  FeatureComputer features(&closure, vocab, options);
+  ClosureCache oracle_closure(&catalog);
+  FeatureComputer oracle(&oracle_closure, vocab, options);
+  TableGraph tg = BuildTableGraph(table, space, &features, w);
+
+  std::map<std::pair<int, int>, int> phi3_factor;
+  for (int f = 0; f < tg.graph.num_factors(); ++f) {
+    const FactorGraph::Factor& factor = tg.graph.factor(f);
+    if (factor.group != kGroupPhi3) continue;
+    phi3_factor[{factor.vars[0], factor.vars[1]}] = f;
+  }
+  std::vector<int> labels(tg.graph.num_variables(), 0);
+  int64_t pairs = 0;
+  for (int c = 0; c < table.cols(); ++c) {
+    const int tv = tg.type_var[c];
+    if (tv < 0) continue;
+    const auto& types = space.TypeDomain(c);
+    for (int r = 0; r < table.rows(); ++r) {
+      const int ev = tg.entity_var[r][c];
+      if (ev < 0) continue;
+      auto it = phi3_factor.find({tv, ev});
+      if (it == phi3_factor.end()) {
+        ADD_FAILURE() << "no φ3 factor for cell " << r << "," << c;
+        continue;
+      }
+      const auto& ents = space.EntityDomain(r, c);
+      for (size_t lt = 0; lt < types.size(); ++lt) {
+        for (size_t le = 0; le < ents.size(); ++le) {
+          labels[tv] = static_cast<int>(lt);
+          labels[ev] = static_cast<int>(le);
+          const double got = tg.graph.FactorLogValue(it->second, labels);
+          const double want = oracle.Phi3Log(w, types[lt], ents[le]);
+          EXPECT_EQ(std::bit_cast<uint64_t>(got),
+                    std::bit_cast<uint64_t>(want))
+              << "type " << types[lt] << " entity " << ents[le] << ": "
+              << got << " vs " << want;
+          if (lt > 0 && le > 0) ++pairs;
+        }
+      }
+      labels[tv] = 0;
+      labels[ev] = 0;
+    }
+  }
+  return pairs;
+}
+
+std::vector<FeatureOptions> AllPhi3Options() {
+  std::vector<FeatureOptions> out;
+  for (CompatMode mode : {CompatMode::kRecipSqrtDist, CompatMode::kRecipDist,
+                          CompatMode::kIdfOnly}) {
+    for (bool missing_link : {true, false}) {
+      FeatureOptions options;
+      options.compat_mode = mode;
+      options.use_missing_link = missing_link;
+      out.push_back(options);
+    }
+  }
+  return out;
+}
+
+TEST(Phi3HoistingTest, EdgeCasesMatchPerPairOracle) {
+  // Figure 1's shape plus the two φ3 edge cases: an entity with no
+  // direct types and a type with no entity under it (MinEntityDist
+  // unreachable), both injected into the label space as gold labels.
+  CatalogBuilder builder;
+  const TypeId person = builder.AddType("person");
+  WEBTAB_CHECK_OK(builder.AddTypeLemma(person, "author"));
+  const TypeId book = builder.AddType("book");
+  WEBTAB_CHECK_OK(builder.AddTypeLemma(book, "title"));
+  const TypeId physicist = builder.AddType("physicist");
+  WEBTAB_CHECK_OK(builder.AddSubtype(physicist, person));
+  const TypeId unread = builder.AddType("unread book");
+  WEBTAB_CHECK_OK(builder.AddSubtype(unread, book));
+  const EntityId einstein = builder.AddEntity("Albert Einstein");
+  WEBTAB_CHECK_OK(builder.AddEntityLemma(einstein, "Albert Einstein"));
+  WEBTAB_CHECK_OK(builder.AddEntityType(einstein, physicist));
+  const EntityId stannard = builder.AddEntity("Russell Stannard");
+  WEBTAB_CHECK_OK(builder.AddEntityLemma(stannard, "Russell Stannard"));
+  WEBTAB_CHECK_OK(builder.AddEntityType(stannard, person));
+  const EntityId b94 = builder.AddEntity("Uncle Albert");
+  WEBTAB_CHECK_OK(builder.AddEntityLemma(b94, "Uncle Albert"));
+  WEBTAB_CHECK_OK(builder.AddEntityType(b94, book));
+  const EntityId orphan = builder.AddEntity("Albert Orphan");
+  WEBTAB_CHECK_OK(builder.AddEntityLemma(orphan, "Albert Orphan"));
+  Result<Catalog> built = builder.Build();
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  const Catalog& catalog = built.value();
+  LemmaIndex index(&catalog);
+
+  Table table(2, 2);
+  table.set_header(0, "Title");
+  table.set_header(1, "Author");
+  table.set_cell(0, 0, "Uncle Albert");
+  table.set_cell(0, 1, "Russell Stannard");
+  table.set_cell(1, 0, "Albert");
+  table.set_cell(1, 1, "Albert Einstein");
+  ClosureCache closure(&catalog);
+  TableCandidates candidates =
+      GenerateCandidates(table, index, &closure, CandidateOptions());
+  TableAnnotation gold = TableAnnotation::Empty(2, 2);
+  gold.column_types[0] = unread;
+  gold.column_types[1] = person;
+  gold.cell_entities[0][0] = b94;
+  gold.cell_entities[1][0] = orphan;
+  gold.cell_entities[1][1] = einstein;
+  TableLabelSpace space = TableLabelSpace::Build(table, candidates, &gold);
+  ASSERT_GE(TableLabelSpace::IndexOfType(space.TypeDomain(0), unread), 1);
+  ASSERT_GE(TableLabelSpace::IndexOfEntity(space.EntityDomain(1, 0), orphan),
+            1);
+  ASSERT_TRUE(catalog.EntityDirectTypes(orphan).empty());
+  ASSERT_EQ(closure.MinEntityDist(unread), kUnreachable);
+
+  for (const FeatureOptions& options : AllPhi3Options()) {
+    EXPECT_GT(ExpectPhi3MatchesOracle(catalog, index.vocabulary(), table,
+                                      space, options),
+              0);
+  }
+}
+
+TEST(Phi3HoistingTest, CorpusLabelSpacesMatchPerPairOracle) {
+  const World& world = SharedWorld();
+  const LemmaIndex& index = SharedIndex();
+  ClosureCache closure(&world.catalog);
+  CorpusSpec spec;
+  spec.seed = 91;
+  spec.num_tables = 8;
+  spec.min_rows = 3;
+  spec.max_rows = 12;
+  std::vector<TableLabelSpace> spaces;
+  std::vector<Table> tables;
+  for (const LabeledTable& lt : GenerateCorpus(world, spec)) {
+    TableCandidates candidates = GenerateCandidates(
+        lt.table, index, &closure, CandidateOptions());
+    spaces.push_back(TableLabelSpace::Build(lt.table, candidates));
+    tables.push_back(lt.table);
+  }
+  for (const FeatureOptions& options : AllPhi3Options()) {
+    int64_t pairs = 0;
+    for (size_t i = 0; i < tables.size(); ++i) {
+      pairs += ExpectPhi3MatchesOracle(world.catalog, index.vocabulary(),
+                                       tables[i], spaces[i], options);
+    }
+    EXPECT_GT(pairs, 100);
+  }
 }
 
 }  // namespace
