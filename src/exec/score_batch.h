@@ -2,62 +2,31 @@
 #define WEBTAB_EXEC_SCORE_BATCH_H_
 
 #include <array>
-#include <cstdint>
 #include <string_view>
 
 #include "catalog/ids.h"
-#include "exec/bit_vector.h"
 #include "exec/tid_list.h"
 
 namespace webtab {
 namespace exec {
 
-/// One fixed-capacity columnar batch of scoring work — the
-/// VectorProjection of this codebase. Each lane array holds one
-/// attribute of up to kBatchSize (table, entity, col, bound, score)
-/// items; `active` is the selection vector of lanes still alive.
-/// Predicates run as columnar passes over `active` (via TidList::Filter
-/// / PartitionInto or BitVector::Assign + BuildFromBits), never as
-/// per-item branches inside scoring loops.
+/// One fixed-capacity columnar batch of row-chunk scoring work. A
+/// scorer gathers up to kBatchSize rows of one column into the
+/// `entity` / `text` lanes, then compacts the rows that score into
+/// `active`, with each survivor's row score at the same position of
+/// `score` (score[j] belongs to lane active[j]).
 ///
-/// All storage is inline and fixed, so a ScoreBatch allocates exactly
-/// once (at construction, inside its BitVector) and nothing per batch:
+/// All storage is inline and fixed, so a ScoreBatch never allocates:
 /// the zero-steady-state-allocation contract of the kernels it backs.
-///
-/// Producers fill only the lanes their pipeline reads — e.g. the
-/// select kernel's bound screen fills `table` and `bound` and never
-/// touches `entity`; the lemma sweep uses `entity`/`score`. Unfilled
-/// lanes carry stale values by design (they are never read without a
-/// fill; the batch is scratch, not a record).
+/// Lanes a scorer does not fill carry stale values and are never read.
 struct ScoreBatch {
-  static constexpr uint32_t kCapacity = kBatchSize;
-
-  uint32_t size = 0;
-
-  std::array<int32_t, kCapacity> table;
-  std::array<EntityId, kCapacity> entity;
-  std::array<int32_t, kCapacity> col;
-  std::array<double, kCapacity> bound;
-  std::array<double, kCapacity> score;
+  std::array<EntityId, kBatchSize> entity;
+  std::array<double, kBatchSize> score;
   /// Gathered cell text (views into the corpus mapping, valid for the
   /// duration of the query like every other engine string_view).
-  std::array<std::string_view, kCapacity> text;
-
-  /// Lanes still alive (ascending). Reset(n) selects everything.
+  std::array<std::string_view, kBatchSize> text;
+  /// Surviving lanes, ascending.
   TidList active;
-  /// Scratch second list for PartitionInto-style splits.
-  TidList scratch;
-  /// Dense scratch for predicate passes feeding BuildFromBits.
-  BitVector bits;
-
-  ScoreBatch() : bits(kCapacity) {}
-
-  /// Begins a batch of n items with every lane index active.
-  void Reset(uint32_t n) {
-    size = n;
-    active.Reset(n);
-    scratch.Clear();
-  }
 };
 
 }  // namespace exec

@@ -1,13 +1,10 @@
 #ifndef WEBTAB_EXEC_TID_LIST_H_
 #define WEBTAB_EXEC_TID_LIST_H_
 
-#include <algorithm>
 #include <array>
 #include <cstdint>
-#include <span>
 
 #include "common/logging.h"
-#include "exec/bit_vector.h"
 
 namespace webtab {
 namespace exec {
@@ -20,32 +17,17 @@ inline constexpr uint32_t kBatchSize = 1024;
 /// indices ("tids") still active. Fixed capacity kBatchSize, inline
 /// storage — a TidList never allocates.
 ///
-/// Filtering uses the store-always / advance-conditionally idiom:
-/// every element is written back unconditionally and the write cursor
-/// advances by the predicate's 0/1 value, so a filter pass costs one
-/// predictable loop regardless of how the predicate's outcomes are
-/// distributed. Passes preserve ascending order, which downstream scan
-/// loops (and so double summation order) rely on.
+/// Producers compact with the store-always / advance-conditionally
+/// idiom: write every candidate lane at the cursor through
+/// mutable_data(), advance the cursor by the predicate's 0/1 value,
+/// then SetSize. A pass costs one predictable loop however the
+/// predicate's outcomes are distributed, and preserves ascending order,
+/// which downstream scan loops (and so double summation order) rely on.
 class TidList {
  public:
-  TidList() = default;
-
-  /// Resets to the full selection [0, n).
-  void Reset(uint32_t n) {
-    WEBTAB_CHECK(n <= kBatchSize) << "batch overflow: " << n;
-    size_ = n;
-    for (uint32_t i = 0; i < n; ++i) tids_[i] = i;
-  }
-
-  void Clear() { size_ = 0; }
-
-  void Append(uint32_t tid) {
-    WEBTAB_CHECK(size_ < kBatchSize) << "TidList overflow";
-    tids_[size_++] = tid;
-  }
-
   uint32_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
+  uint32_t operator[](uint32_t i) const { return tids_[i]; }
 
   /// Raw write access for producers that compact parallel value lanes
   /// alongside the tid lane (store-always into both, then SetSize).
@@ -53,54 +35,6 @@ class TidList {
   void SetSize(uint32_t n) {
     WEBTAB_CHECK(n <= kBatchSize) << "batch overflow: " << n;
     size_ = n;
-  }
-
-  /// Restores ascending order after PartitionInto-style passes have
-  /// interleaved survivors from several conditions. Downstream passes
-  /// (forward-only posting counters, FP summation order) require it.
-  void SortAscending() { std::sort(tids_.begin(), tids_.begin() + size_); }
-  uint32_t operator[](uint32_t i) const { return tids_[i]; }
-  std::span<const uint32_t> tids() const { return {tids_.data(), size_}; }
-
-  const uint32_t* begin() const { return tids_.data(); }
-  const uint32_t* end() const { return tids_.data() + size_; }
-
-  /// Rebuilds the selection from a bit vector's set bits (ascending).
-  void BuildFromBits(const BitVector& bits) {
-    size_ = 0;
-    bits.ForEachSetBit([&](uint32_t i) { tids_[size_++] = i; });
-  }
-
-  /// Keeps tids where pred(tid) is true; branch-free compaction.
-  template <typename Pred>
-  void Filter(Pred&& pred) {
-    uint32_t out = 0;
-    for (uint32_t i = 0; i < size_; ++i) {
-      const uint32_t t = tids_[i];
-      tids_[out] = t;
-      out += static_cast<uint32_t>(static_cast<bool>(pred(t)));
-    }
-    size_ = out;
-  }
-
-  /// Splits this list by pred: passing tids are appended to `pass`
-  /// (in ascending order), failing tids stay here (ascending). The
-  /// disjunctive-screen building block — each condition peels off the
-  /// lanes it proves alive, the remainder moves on to the next.
-  template <typename Pred>
-  void PartitionInto(TidList* pass, Pred&& pred) {
-    uint32_t out = 0;
-    for (uint32_t i = 0; i < size_; ++i) {
-      const uint32_t t = tids_[i];
-      const bool p = static_cast<bool>(pred(t));
-      // Both sides use store-always writes; only the cursors branch on
-      // nothing.
-      pass->tids_[pass->size_] = t;
-      pass->size_ += static_cast<uint32_t>(p);
-      tids_[out] = t;
-      out += static_cast<uint32_t>(!p);
-    }
-    size_ = out;
   }
 
  private:

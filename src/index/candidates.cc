@@ -1,30 +1,14 @@
 #include "index/candidates.h"
 
 #include <algorithm>
-#include <atomic>
 #include <functional>
 #include <unordered_map>
 
-#include "common/logging.h"
 #include "obs/metrics.h"
 
 namespace webtab {
 
 namespace {
-
-/// The flag used to toggle per-cell probe memoization; the batch probe
-/// dedupes structurally, so a caller turning it off gets the same
-/// (deduped) results. Logged once per process so old configs keep
-/// working without silent surprises.
-void WarnMemoizeDeprecatedOnce() {
-  static std::atomic<bool> warned{false};
-  if (!warned.exchange(true)) {
-    WEBTAB_LOG(Warning)
-        << "CandidateOptions::memoize_cell_probes is deprecated and "
-           "ignored: the column-major batch probe dedupes repeated cell "
-           "strings unconditionally";
-  }
-}
 
 /// Dense distinct-pair multiplicity counting is quadratic in distinct
 /// cells; past this bound fall back to a hash map (huge tables only).
@@ -39,7 +23,6 @@ TableCandidates GenerateCandidates(const Table& table,
                                    CandidateWorkspace* workspace) {
   CandidateWorkspace transient;
   CandidateWorkspace* ws = workspace != nullptr ? workspace : &transient;
-  if (!options.memoize_cell_probes) WarnMemoizeDeprecatedOnce();
 
   TableCandidates out;
   out.cells.assign(table.rows(),
@@ -53,7 +36,6 @@ TableCandidates GenerateCandidates(const Table& table,
   // relation phases below work over distinct cells instead of rows.
   ws->columns.resize(table.cols());
   const int64_t walked_before = ws->batch.postings_walked();
-  const int64_t pruned_before = ws->batch.postings_pruned();
   for (int c = 0; c < table.cols(); ++c) {
     CandidateWorkspace::ColumnDistincts& col = ws->columns[c];
     col.num_distinct = 0;
@@ -67,8 +49,7 @@ TableCandidates GenerateCandidates(const Table& table,
       continue;
     }
     ws->batch.ProbeColumn(table, c, index, options.max_entities_per_cell,
-                          options.min_entity_score,
-                          options.idf_upper_bound_prune);
+                          options.min_entity_score);
     col.num_distinct = ws->batch.num_distinct();
     col.row_count.assign(col.num_distinct, 0);
     col.first_row.assign(col.num_distinct, -1);
@@ -254,12 +235,9 @@ TableCandidates GenerateCandidates(const Table& table,
       obs::MetricsRegistry::Get().GetCounter("candidates.cells");
   static obs::Counter* postings_walked =
       obs::MetricsRegistry::Get().GetCounter("candidates.postings_walked");
-  static obs::Counter* postings_pruned =
-      obs::MetricsRegistry::Get().GetCounter("candidates.postings_pruned");
   tables->Add(1);
   cells->Add(static_cast<int64_t>(table.rows()) * table.cols());
   postings_walked->Add(ws->batch.postings_walked() - walked_before);
-  postings_pruned->Add(ws->batch.postings_pruned() - pruned_before);
   return out;
 }
 

@@ -23,17 +23,6 @@ struct CandidateOptions {
   /// Columns whose numeric fraction exceeds this get no entity candidates
   /// (the paper annotates non-numeric columns; §6.1.2).
   double numeric_column_threshold = 0.7;
-  /// Deprecated: the column-major batch probe dedupes repeated cell
-  /// strings unconditionally (the memoization this flag toggled is now
-  /// structural). The value is ignored; setting it to false logs once.
-  bool memoize_cell_probes = true;
-  /// Enables the probe's IDF-upper-bound elimination lane: (cell, lemma)
-  /// pairs whose best-possible score provably cannot reach
-  /// min_entity_score are skipped before any scoring work runs. Exact —
-  /// candidates are bit-identical with the lane on or off (the off
-  /// setting is the retained equivalence reference; asserted by
-  /// tests/candidate_equivalence_test.cc).
-  bool idf_upper_bound_prune = true;
 };
 
 /// Candidate label sets for one table (before adding the `na` option).

@@ -4,47 +4,11 @@
 #include <array>
 #include <cmath>
 #include <limits>
-#include <utility>
 
 #include "exec/tid_list.h"
 #include "text/tokenizer.h"
 
 namespace webtab {
-
-namespace {
-
-/// Below this postings width a token can never be worth Low-classifying:
-/// the bookkeeping would cost more than the walk it avoids.
-constexpr size_t kLowMinPostings = 32;
-
-/// Heterogeneous comparator for binary-searching a postings list (sorted
-/// by (id, lemma_ord) by construction — verified before use) with an
-/// (id, ord) key.
-struct PostingKeyLess {
-  bool operator()(const LemmaPosting& p,
-                  std::pair<int32_t, int32_t> k) const {
-    if (p.id != k.first) return p.id < k.first;
-    return p.lemma_ord < k.second;
-  }
-  bool operator()(std::pair<int32_t, int32_t> k,
-                  const LemmaPosting& p) const {
-    if (p.id != k.first) return k.first < p.id;
-    return k.second < p.lemma_ord;
-  }
-};
-
-bool PostingsSortedByIdOrd(std::span<const LemmaPosting> ps) {
-  for (size_t i = 1; i < ps.size(); ++i) {
-    if (ps[i - 1].id > ps[i].id ||
-        (ps[i - 1].id == ps[i].id &&
-         ps[i - 1].lemma_ord > ps[i].lemma_ord)) {
-      return false;
-    }
-  }
-  return true;
-}
-
-}  // namespace
 
 void ColumnProbeBatch::EnsureDenseAccumulator(const LemmaIndexView& index) {
   const CatalogView* cat = &index.catalog();
@@ -52,14 +16,10 @@ void ColumnProbeBatch::EnsureDenseAccumulator(const LemmaIndexView& index) {
   dense_catalog_ = cat;
   const int32_t n = cat->num_entities();
   entity_lemma_start_.assign(static_cast<size_t>(n) + 1, 0);
-  low_lane_sound_ = true;
   for (int32_t e = 0; e < n; ++e) {
-    const int32_t nl = cat->NumEntityLemmas(e);
     // Ordinals past 16 bits collide under the kernel's packed-key
-    // truncation. The dense slot merges those aliases identically, but
-    // the Low lane's (id, ord) binary search would miss them — disable
-    // the Low lane (never the accumulator) in that regime.
-    if (nl > (1 << 16)) low_lane_sound_ = false;
+    // truncation; the dense slot merges those aliases identically.
+    const int32_t nl = cat->NumEntityLemmas(e);
     entity_lemma_start_[e + 1] =
         entity_lemma_start_[e] + std::min(nl, 1 << 16);
   }
@@ -90,7 +50,7 @@ int ColumnProbeBatch::InternToken(const std::string& token,
 
 void ColumnProbeBatch::ProbeColumn(const Table& table, int c,
                                    const LemmaIndexView& index, int max_hits,
-                                   double min_score, bool idf_upper_bound) {
+                                   double min_score) {
   EnsureDenseAccumulator(index);
   num_distinct_ = 0;
   row_distinct_.clear();
@@ -119,23 +79,16 @@ void ColumnProbeBatch::ProbeColumn(const Table& table, int c,
     row_distinct_.push_back(it->second);
   }
 
-  // Per-column classification scratch over the column's local tokens.
-  tok_seen_.assign(tokens_.size(), 0);
-  tok_low_.assign(tokens_.size(), 0);
-  tok_sorted_.assign(tokens_.size(), -1);
-  cell_seq_ = 0;
-
   // Pass 2: score each distinct cell in one sweep.
   if (static_cast<int>(hits_.size()) < num_distinct_) {
     hits_.resize(num_distinct_);
   }
   for (int d = 0; d < num_distinct_; ++d) {
-    ScoreDistinct(d, max_hits, min_score, idf_upper_bound);
+    ScoreDistinct(d, max_hits, min_score);
   }
 }
 
-void ColumnProbeBatch::ScoreDistinct(int d, int max_hits, double min_score,
-                                     bool idf_upper_bound) {
+void ColumnProbeBatch::ScoreDistinct(int d, int max_hits, double min_score) {
   std::vector<LemmaHit>& out = hits_[d];
   out.clear();
   const size_t begin = cell_token_begin_[d];
@@ -152,205 +105,47 @@ void ColumnProbeBatch::ScoreDistinct(int d, int max_hits, double min_score,
   }
   const double query_norm = std::sqrt(query_norm_sq);
 
-  // Distinct tokens of this cell (stamped, allocation-free).
-  ++cell_seq_;
-  cell_tok_.clear();
-  for (size_t i = begin; i < end; ++i) {
-    const int t = cell_tokens_[i];
-    if (tok_seen_[t] != cell_seq_) {
-      tok_seen_[t] = cell_seq_;
-      tok_low_[t] = 0;
-      cell_tok_.push_back(t);
-    }
-  }
-
-  // --- IDF-upper-bound classification. A lemma touched only by tokens
-  // of the Low set has, in the kernel's own expression tree,
-  //   score = min(num / (qn * lemma_norm), 1.0),
-  //   lemma_norm = sqrt(len) * qn / sqrt(ntokens),
-  // with num a subsequence sum of the Low occurrences' idf^2 (so
-  // num <= S_low under round-to-nearest — nonnegative terms, same
-  // relative order) and len >= 1. Evaluating the bound with S_low and
-  // len = 1 through the same tree therefore dominates the computed
-  // double, and bound < min_score proves the hit would be erased by the
-  // final min-score filter; sub-threshold hits sort after every
-  // surviving hit, so truncate-then-erase equals filter-then-truncate
-  // and skipping the lemma entirely is exact. Greedy: widest postings
-  // first, keep a token Low only while the bound still clears.
-  const bool try_low = idf_upper_bound && min_score > 0.0 &&
-                       query_norm > 0.0 && cell_tok_.size() > 1;
-  if (try_low) {
-    std::sort(cell_tok_.begin(), cell_tok_.end(), [&](int a, int b) {
-      const size_t na = tokens_[a].postings.size();
-      const size_t nb = tokens_[b].postings.size();
-      if (na != nb) return na > nb;
-      return a < b;  // Deterministic order.
-    });
-    const double lemma_norm_lb = std::sqrt(1.0) * query_norm /
-                                 std::sqrt(static_cast<double>(ntokens));
-    for (int t : cell_tok_) {
-      if (tokens_[t].postings.size() < kLowMinPostings) break;  // Sorted.
-      tok_low_[t] = 1;
-      double s_low = 0.0;
-      for (size_t i = begin; i < end; ++i) {
-        const int u = cell_tokens_[i];
-        if (tok_low_[u] != 0) {
-          const double idf = tokens_[u].idf;
-          s_low += idf * idf;
-        }
-      }
-      const double bound = s_low / (query_norm * lemma_norm_lb);
-      if (!(bound < min_score)) tok_low_[t] = 0;  // Keep High.
-    }
-  }
-
-  bool has_low = false;
-  for (int t : cell_tok_) {
-    if (tok_low_[t] != 0) {
-      has_low = true;
-      break;
-    }
-  }
-
+  // One occurrence-order walk stamps and accumulates at once — the
+  // kernel's exact add order per lemma.
   ++epoch_;
   touched_g_.clear();
   touched_id_.clear();
   touched_ord_.clear();
-
-  if (!has_low) {
-    // No Low tokens: a single occurrence-order walk stamps and
-    // accumulates at once — the kernel's exact add order, at half the
-    // posting traffic of the two-phase form below.
-    for (size_t i = begin; i < end; ++i) {
-      const LocalToken& tok = tokens_[cell_tokens_[i]];
-      if (tok.postings.empty()) continue;
-      const double idf2 = tok.idf * tok.idf;
-      for (const LemmaPosting& p : tok.postings) {
-        const int64_t g =
-            entity_lemma_start_[p.id] + (p.lemma_ord & 0xFFFF);
-        if (stamp_[g] != epoch_) {
-          stamp_[g] = epoch_;
-          acc_[g] = idf2;  // 0.0 + idf2 is exact.
-          touched_g_.push_back(g);
-          touched_id_.push_back(p.id);
-          touched_ord_.push_back(p.lemma_ord & 0xFFFF);
-        } else {
-          acc_[g] += idf2;
-        }
-        len_[g] = p.lemma_len;  // Last-write-wins, as in the kernel.
-      }
-      postings_walked_ += static_cast<int64_t>(tok.postings.size());
-    }
-    if (touched_g_.empty()) return;
-    ReduceTouched(d, max_hits, min_score, idf_upper_bound, query_norm,
-                  ntokens);
-    return;
-  }
-
-  // --- Phase A: stamp the candidate lemma batch from High tokens. No
-  // accumulation here — adds must interleave with Low contributions in
-  // occurrence order, which phase B replays.
-  for (int t : cell_tok_) {
-    if (tok_low_[t] != 0) continue;
-    const LocalToken& tok = tokens_[t];
+  for (size_t i = begin; i < end; ++i) {
+    const LocalToken& tok = tokens_[cell_tokens_[i]];
+    if (tok.postings.empty()) continue;
+    const double idf2 = tok.idf * tok.idf;
     for (const LemmaPosting& p : tok.postings) {
-      const int64_t g =
-          entity_lemma_start_[p.id] + (p.lemma_ord & 0xFFFF);
+      const int64_t g = entity_lemma_start_[p.id] + (p.lemma_ord & 0xFFFF);
       if (stamp_[g] != epoch_) {
         stamp_[g] = epoch_;
-        acc_[g] = 0.0;
+        acc_[g] = idf2;  // 0.0 + idf2 is exact.
         touched_g_.push_back(g);
         touched_id_.push_back(p.id);
         touched_ord_.push_back(p.lemma_ord & 0xFFFF);
-      }
-    }
-  }
-  if (touched_g_.empty()) {
-    // Either no token has postings, or every posting-bearing token is
-    // Low — in which case every reachable lemma is provably
-    // sub-threshold and the kernel's output would be fully erased.
-    for (size_t i = begin; i < end; ++i) {
-      const int t = cell_tokens_[i];
-      if (tok_low_[t] != 0) {
-        postings_pruned_ +=
-            static_cast<int64_t>(tokens_[t].postings.size());
-      }
-    }
-    return;
-  }
-
-  // --- Phase B: accumulate in token-occurrence order — the kernel's
-  // exact FP addition order per lemma. High tokens walk their postings;
-  // Low tokens contribute only to the stamped batch, by (id, ord)
-  // binary search when the batch is much narrower than the postings
-  // (requires a verified-sorted list and no ordinal truncation),
-  // otherwise by a stamp-filtered walk. Both replay the same adds.
-  const size_t num_touched = touched_g_.size();
-  for (size_t i = begin; i < end; ++i) {
-    const int t = cell_tokens_[i];
-    const LocalToken& tok = tokens_[t];
-    if (tok.postings.empty()) continue;
-    const double idf2 = tok.idf * tok.idf;
-    if (tok_low_[t] == 0) {
-      for (const LemmaPosting& p : tok.postings) {
-        const int64_t g =
-            entity_lemma_start_[p.id] + (p.lemma_ord & 0xFFFF);
+      } else {
         acc_[g] += idf2;
-        len_[g] = p.lemma_len;  // Last-write-wins, as in the kernel.
       }
-      postings_walked_ += static_cast<int64_t>(tok.postings.size());
-      continue;
+      len_[g] = p.lemma_len;  // Last-write-wins, as in the kernel.
     }
-    if (tok_sorted_[t] < 0) {
-      tok_sorted_[t] = PostingsSortedByIdOrd(tok.postings) ? 1 : 0;
-    }
-    const bool use_binary = low_lane_sound_ && tok_sorted_[t] == 1 &&
-                            num_touched * 8 < tok.postings.size();
-    if (use_binary) {
-      for (size_t j = 0; j < num_touched; ++j) {
-        auto [lo, hi] = std::equal_range(
-            tok.postings.begin(), tok.postings.end(),
-            std::make_pair(touched_id_[j], touched_ord_[j]),
-            PostingKeyLess{});
-        const int64_t g = touched_g_[j];
-        for (auto it = lo; it != hi; ++it) {
-          acc_[g] += idf2;  // Duplicates add once each, kernel order.
-          len_[g] = it->lemma_len;
-        }
-      }
-      postings_pruned_ += static_cast<int64_t>(tok.postings.size());
-    } else {
-      for (const LemmaPosting& p : tok.postings) {
-        const int64_t g =
-            entity_lemma_start_[p.id] + (p.lemma_ord & 0xFFFF);
-        if (stamp_[g] == epoch_) {
-          acc_[g] += idf2;
-          len_[g] = p.lemma_len;
-        }
-      }
-      postings_walked_ += static_cast<int64_t>(tok.postings.size());
-    }
+    postings_walked_ += static_cast<int64_t>(tok.postings.size());
   }
-
-  ReduceTouched(d, max_hits, min_score, idf_upper_bound, query_norm,
-                ntokens);
+  if (touched_g_.empty()) return;
+  ReduceTouched(d, max_hits, min_score, query_norm, ntokens);
 }
 
 // Reduction over the touched batch, in selection-vector chunks: score
 // lane, then a branch-free keep of hits that can survive the min-score
-// filter (exact — sub-threshold hits sort last and are erased
-// regardless, see the classification note), then the canonical
-// per-object best fold (max score, ties toward the lowest lemma
-// ordinal). The reference path keeps every hit so it exercises the
-// original reduction.
+// filter, then the canonical per-object best fold (max score, ties
+// toward the lowest lemma ordinal). The keep is exact: the final filter
+// erases every hit below min_score, and such hits sort after every
+// surviving hit, so truncate-then-erase equals erase-then-truncate.
 void ColumnProbeBatch::ReduceTouched(int d, int max_hits, double min_score,
-                                     bool idf_upper_bound,
                                      double query_norm, size_t ntokens) {
   std::vector<LemmaHit>& out = hits_[d];
   const size_t num_touched = touched_g_.size();
   ++object_epoch_;
   best_.clear();
-  const double keep_threshold = idf_upper_bound ? min_score : -1.0;
 
   // The kernel's per-hit expression
   //   s = min(fl(num / fl(qn * ln)), 1),
@@ -367,9 +162,9 @@ void ColumnProbeBatch::ReduceTouched(int d, int max_hits, double min_score,
   // and num < T(len) proves s < min_score: the hit would be erased by
   // the final filter regardless (sub-threshold hits sort last), so the
   // element skips the divide and the fold without changing any output
-  // bit. Screening is off on the reference path, which keeps every hit.
+  // bit.
   const double sqrt_ntokens = std::sqrt(static_cast<double>(ntokens));
-  const bool screen = keep_threshold > 0.0 && query_norm > 0.0;
+  const bool screen = min_score > 0.0 && query_norm > 0.0;
   const double mq = min_score * query_norm;
   constexpr double kScreenSlack =
       1.0 - 16.0 * std::numeric_limits<double>::epsilon();
@@ -397,7 +192,7 @@ void ColumnProbeBatch::ReduceTouched(int d, int max_hits, double min_score,
           lc.screen = screen ? mq * lc.ln * kScreenSlack : -1.0;
         }
         if (num < lc.screen) {
-          score_lane[j] = -1.0;  // Provably below keep_threshold.
+          score_lane[j] = -1.0;  // Provably below min_score.
           continue;
         }
         score = lc.ln > 0 ? num / lc.denom : 0.0;
@@ -412,7 +207,7 @@ void ColumnProbeBatch::ReduceTouched(int d, int max_hits, double min_score,
     uint32_t m = 0;
     for (uint32_t j = 0; j < n; ++j) {
       keep[m] = j;
-      m += static_cast<uint32_t>(score_lane[j] >= keep_threshold);
+      m += static_cast<uint32_t>(score_lane[j] >= min_score);
     }
     sel.SetSize(m);
     for (uint32_t jj = 0; jj < m; ++jj) {

@@ -27,21 +27,8 @@ namespace webtab {
 ///      maps to g = entity_lemma_start[id] + lemma_ord by arithmetic
 ///      alone, so the hot loop never hashes.
 ///
-/// The sweep carries an IDF-upper-bound elimination lane (enabled by
-/// the `idf_upper_bound` argument): per cell, the widest-posting tokens
-/// are classified Low while the provable best score of a lemma touched
-/// *only* by Low tokens stays under `min_score`. High tokens stamp the
-/// candidate lemma set; Low tokens then contribute to stamped lemmas by
-/// binary search instead of walking their (large) postings lists, and
-/// Low-only lemmas — which cannot reach the candidate threshold — are
-/// never materialized. The bound is evaluated with the same expression
-/// tree as the real score with conservative operands, so it dominates
-/// the computed double under round-to-nearest and elimination is exact,
-/// not approximate.
-///
 /// Scores, ranking and tie-breaks are bit-identical to per-cell
-/// LemmaIndexView::ProbeEntities on both backends and with the
-/// elimination lane on or off (asserted by
+/// LemmaIndexView::ProbeEntities on both backends (asserted by
 /// tests/candidate_equivalence_test.cc). All storage lives in the batch
 /// and is reused across columns and tables; the dense accumulator is
 /// sized once per catalog. Not thread-safe; use one per worker.
@@ -54,12 +41,9 @@ class ColumnProbeBatch {
   /// Probes column `c` of `table`: top-`max_hits` entity hits per
   /// distinct cell string, then drops hits scoring below `min_score`
   /// (the ProbeEntities-then-filter order of candidate generation).
-  /// `idf_upper_bound` toggles the elimination lane; both settings
-  /// produce identical results (the exact path is the equivalence
-  /// reference). Results stay valid until the next ProbeColumn call.
+  /// Results stay valid until the next ProbeColumn call.
   void ProbeColumn(const Table& table, int c, const LemmaIndexView& index,
-                   int max_hits, double min_score,
-                   bool idf_upper_bound = true);
+                   int max_hits, double min_score);
 
   /// Distinct cell strings seen in the probed column.
   int num_distinct() const { return num_distinct_; }
@@ -70,11 +54,8 @@ class ColumnProbeBatch {
   /// Scored hits for distinct cell `d`, best first.
   const std::vector<LemmaHit>& Hits(int d) const { return hits_[d]; }
 
-  /// Lifetime postings-walk accounting: postings actually visited vs
-  /// postings the Low lane proved irrelevant and skipped. The ratio is
-  /// the elimination lane's measured win (reported by candidate_bench).
+  /// Lifetime count of postings entries visited by the scoring sweep.
   int64_t postings_walked() const { return postings_walked_; }
-  int64_t postings_pruned() const { return postings_pruned_; }
 
  private:
   /// One distinct token of the column, resolved once against the index.
@@ -91,14 +72,12 @@ class ColumnProbeBatch {
   int InternToken(const std::string& token, const LemmaIndexView& index);
 
   /// Scores distinct cell `d` into hits_[d].
-  void ScoreDistinct(int d, int max_hits, double min_score,
-                     bool idf_upper_bound);
+  void ScoreDistinct(int d, int max_hits, double min_score);
 
   /// Folds the touched-lemma batch into hits_[d]: chunked score lane,
   /// branch-free min-score keep, per-object best, final ranking.
   void ReduceTouched(int d, int max_hits, double min_score,
-                     bool idf_upper_bound, double query_norm,
-                     size_t ntokens);
+                     double query_norm, size_t ntokens);
 
   // --- Per-column state (cleared by ProbeColumn). ---
   int num_distinct_ = 0;
@@ -121,27 +100,18 @@ class ColumnProbeBatch {
   // --- Dense global-lemma accumulator (sized per catalog). ---
   /// CSR base: lemma (id, ord) lives at entity_lemma_start_[id] + ord.
   /// Ordinals use the same 16-bit truncation as the per-cell kernel's
-  /// packed key, so any collision merges exactly the same pairs; the
-  /// Low lane's binary search is disabled when truncation could fire.
+  /// packed key, so any collision merges exactly the same pairs.
   const CatalogView* dense_catalog_ = nullptr;
   std::vector<int64_t> entity_lemma_start_;
-  bool low_lane_sound_ = true;
   int64_t epoch_ = 0;
   std::vector<double> acc_;       // Per global lemma: idf^2 overlap sum.
   std::vector<int64_t> stamp_;    // Per global lemma: epoch of last touch.
   std::vector<int32_t> len_;      // Per global lemma: last-seen token count.
-  /// Lemmas stamped by the current cell's High tokens, as parallel
-  /// (global, id, ord) lanes — the batch the scoring sweep runs over.
+  /// Lemmas touched by the current cell, as parallel (global, id, ord)
+  /// lanes — the batch the score reduction runs over.
   std::vector<int64_t> touched_g_;
   std::vector<int32_t> touched_id_;
   std::vector<int32_t> touched_ord_;
-
-  // --- Per-cell High/Low classification scratch. ---
-  int32_t cell_seq_ = 0;
-  std::vector<int32_t> tok_seen_;  // Per local token: cell_seq_ stamp.
-  std::vector<uint8_t> tok_low_;   // Valid only when tok_seen_ is current.
-  std::vector<int8_t> tok_sorted_;  // Lazy (id, ord)-sortedness verdicts.
-  std::vector<int32_t> cell_tok_;  // Distinct local tokens of the cell.
 
   /// Per-len scoring cache (see ReduceTouched): lemma norm, the exact
   /// kernel denominator fl(qn * ln), and a conservative prescreen
@@ -165,7 +135,6 @@ class ColumnProbeBatch {
   std::vector<std::vector<LemmaHit>> hits_;
 
   int64_t postings_walked_ = 0;
-  int64_t postings_pruned_ = 0;
 };
 
 }  // namespace webtab

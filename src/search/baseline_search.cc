@@ -59,7 +59,6 @@ void BaselineSearch(const CorpusView& index, const SelectQuery& /*query*/,
   using search_internal::IntersectByTable;
   using search_internal::PlannedTable;
   using search_internal::PostingRunCounter;
-  using search_internal::ScreenCond;
 
   ws->BeginSelect(nq.e2_text);
   const bool prune = topk.k > 0 && topk.prune;
@@ -111,8 +110,7 @@ void BaselineSearch(const CorpusView& index, const SelectQuery& /*query*/,
 
   // Only E2-side columns that can text-match the target contribute
   // (the baseline has no entity path), so b shrinks to the supported
-  // count — 0 eliminates the table outright. Shared by the scalar loop
-  // and the batched screen's survivor pass.
+  // count — 0 eliminates the table outright.
   auto refined_bound = [&](const PlannedTable& p,
                            PostingRunCounter<CellRef>* /*e2_runs*/) {
     double b = 0.0;
@@ -133,18 +131,8 @@ void BaselineSearch(const CorpusView& index, const SelectQuery& /*query*/,
       }
       return;
     }
-    if (topk.batch) {
-      ws->EnsureFilterClasses();
-      static constexpr ScreenCond kKinds[] = {ScreenCond::kTableSupport};
-      search_internal::BatchedBoundFill(ws, ws->filter_class_baseline,
-                                        kKinds,
-                                        std::span<const CellRef>(),
-                                        PostingBlockSpan(), refined_bound);
-      return;
-    }
-    PostingRunCounter<CellRef> unused{std::span<const CellRef>(),
-                                      PostingBlockSpan()};
-    for (PlannedTable& p : ws->plan) p.bound = refined_bound(p, &unused);
+    search_internal::FillRefinedBounds(ws, std::span<const CellRef>(),
+                                       PostingBlockSpan(), refined_bound);
   };
 
   auto scalar_score = [&](const PlannedTable& p) {

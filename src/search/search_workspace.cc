@@ -319,7 +319,6 @@ void SearchWorkspace::BeginSelect(std::string_view normalized_e2) {
   memo_.SetTarget(normalized_e2);
   query_stats = QueryStats{};
   decision_log.clear();
-  filter_log.clear();
   decision_bounds_valid = false;
   stop_check_skip_ = 0;
   stop_check_backoff_ = 1;
@@ -463,26 +462,6 @@ void SearchWorkspace::EmitRanked(const TopKOptions& topk,
                                  std::vector<SearchResult>* out) {
   obs::TraceSpan span("search.emit");
   evidence_.EmitRanked(topk.k, out);
-}
-
-void SearchWorkspace::EnsureFilterClasses() {
-  if (filter_class_type >= 0) return;
-  using ConditionDef = exec::FilterManager::ConditionDef;
-  // Cost hints: the entity-run probe seeks a posting cursor (galloping
-  // + a cached-run reuse), the support probe is one binary search over
-  // the per-query support set. Measured pass rates refine the order
-  // from there.
-  const ConditionDef entity_and_support[] = {
-      {"e2-entity-run", 2.0},
-      {"match-support", 1.0},
-  };
-  const ConditionDef support_only[] = {
-      {"match-support", 1.0},
-  };
-  filter_class_type = filters.RegisterClass("type", entity_and_support);
-  filter_class_type_relation =
-      filters.RegisterClass("type_relation", entity_and_support);
-  filter_class_baseline = filters.RegisterClass("baseline", support_only);
 }
 
 SearchWorkspace& ThreadLocalSearchWorkspace() {

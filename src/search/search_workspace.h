@@ -9,7 +9,7 @@
 #include <utility>
 #include <vector>
 
-#include "exec/filter_manager.h"
+#include "exec/bit_vector.h"
 #include "exec/score_batch.h"
 #include "search/corpus_view.h"
 #include "search/query.h"
@@ -289,27 +289,6 @@ class SearchWorkspace {
 
   const QueryStats& stats() const { return query_stats; }
 
-  /// One batched bound screen's outcome in the EXPLAIN filter log:
-  /// which condition order the adaptive reorderer ran, how many plan
-  /// lanes entered, and how many survived to the refined-bound pass.
-  /// The determinism test replays a fixed query sequence and asserts
-  /// the order trace bit for bit.
-  struct FilterDecision {
-    int cls = 0;               // FilterManager class id
-    uint32_t lanes_in = 0;     // plan lanes entering the screen batch
-    uint32_t lanes_pass = 0;   // lanes surviving to the refined pass
-    uint8_t num_conditions = 0;
-    bool exploring = false;    // order came from an exploration round
-    std::array<uint8_t, exec::FilterManager::kMaxConditions> order{};
-  };
-
-  /// Lazily registers the engines' screen classes (class ids stay
-  /// stable for the workspace's lifetime). Conditions carry static
-  /// cost hints; measured pass rates drive the order.
-  void EnsureFilterClasses();
-
-  const exec::FilterManager& filter_manager() const { return filters; }
-
   /// Arms EXPLAIN capture for subsequent queries (sticky across
   /// queries; BeginSelect clears the log, not the flag). Off — the
   /// default — costs one branch per planned table and keeps the
@@ -338,15 +317,8 @@ class SearchWorkspace {
   std::vector<SupportEntry> support_scratch;  // token-posting union
 
   // --- Vectorized batch kernel scratch (src/exec). ---
-  /// Columnar lanes shared by the bound screen (table/bound + selection
-  /// vectors) and the row-chunk scoring sweeps (entity/text/score).
+  /// Columnar lanes of the row-chunk scoring sweeps.
   exec::ScoreBatch batch;
-  /// Adaptive condition reorderer for the batched bound screens; one
-  /// class per engine, registered by EnsureFilterClasses.
-  exec::FilterManager filters;
-  int filter_class_type = -1;
-  int filter_class_type_relation = -1;
-  int filter_class_baseline = -1;
   /// Per-plan-lane scoring verdicts, filled by ComputeColumnVerdicts
   /// before the score scan. For the type/baseline engines a lane is a
   /// col_pool position (b-side columns); for the relation engine it is
@@ -367,9 +339,6 @@ class SearchWorkspace {
     if (gather_entities.size() < need) gather_entities.resize(need);
     if (gather_cells.size() < need) gather_cells.resize(need);
   }
-  /// EXPLAIN trace of the batched bound screens for the last query
-  /// (empty unless explain_enabled()).
-  std::vector<FilterDecision> filter_log;
 
   search_internal::EntityAccumulator leg_acc;  // join leg expansion
   std::vector<std::pair<EntityId, double>> binding_list;  // join bindings

@@ -2,7 +2,6 @@
 #define WEBTAB_SEARCH_SELECT_KERNEL_H_
 
 #include <algorithm>
-#include <array>
 #include <span>
 #include <tuple>
 #include <utility>
@@ -94,97 +93,22 @@ class PostingRunCounter {
   std::span<const Ref> run_;
 };
 
-/// Condition kinds available to the batched bound screens. Every
-/// screen condition across the select engines is one of these two
-/// necessary-evidence probes; the FilterManager permutes their
-/// evaluation order per engine class from measured pass rates.
-enum class ScreenCond : uint8_t {
-  /// The table holds at least one E2-annotated cell (entity-postings
-  /// run nonempty). Necessary for any annotated hit.
-  kEntityRun,
-  /// The table is in the query's match-support set. Necessary for any
-  /// text-fallback hit.
-  kTableSupport,
-};
-
-/// Batched, filter-adaptive bound fill — the columnar replacement for
-/// the per-table bound_of loop. Plan lanes are processed in
-/// exec::kBatchSize batches; per batch the screen conditions run as
-/// columnar PartitionInto passes in the FilterManager's current order
-/// (disjunctive: a lane any condition proves alive skips the rest).
-/// Lanes no condition claims are proven to contribute zero evidence —
-/// their bound is exactly 0.0, the same double the scalar refined
-/// formula produces for them — and only survivors pay the exact
-/// refined-bound computation (`refined_of(p, counter)`, the engine's
-/// scalar formula verbatim, so survivor bounds are bit-identical too).
-///
-/// Counter discipline: PostingRunCounter seeks forward only, so every
-/// columnar pass gets a fresh counter, and the survivor list is
-/// re-sorted ascending before the refined pass.
+/// Fills every plan entry's bound in one ascending pass with one
+/// forward E2-run counter. A table with no match support and no
+/// E2-annotated cell can yield neither a text fallback nor an annotated
+/// hit, so its bound is exactly 0.0 — the same double the engine's
+/// refined formula gives it — and only the other tables pay
+/// `refined_of(p, &e2_runs)`, which shares the counter. Engines
+/// without an entity path pass empty E2 spans.
 template <typename RefinedFn>
-void BatchedBoundFill(SearchWorkspace* ws, int cls,
-                      std::span<const ScreenCond> kinds,
-                      std::span<const CellRef> e2_postings,
-                      PostingBlockSpan e2_blocks, RefinedFn&& refined_of) {
-  exec::ScoreBatch& batch = ws->batch;
-  const bool explain = ws->explain_enabled();
-  const uint32_t plan_size = static_cast<uint32_t>(ws->plan.size());
-  for (uint32_t base = 0; base < plan_size; base += exec::kBatchSize) {
-    const uint32_t n = std::min(exec::kBatchSize, plan_size - base);
-    batch.Reset(n);  // active = undecided lanes, scratch = survivors
-    std::array<uint8_t, exec::FilterManager::kMaxConditions> order_used{};
-    {
-      std::span<const uint8_t> order = ws->filters.Order(cls);
-      std::copy(order.begin(), order.end(), order_used.begin());
-      const bool exploring = ws->filters.state(cls).exploring;
-      for (size_t oi = 0; oi < order.size() && !batch.active.empty();
-           ++oi) {
-        const uint8_t cond = order[oi];
-        const uint32_t in = batch.active.size();
-        const uint32_t pass_before = batch.scratch.size();
-        switch (kinds[cond]) {
-          case ScreenCond::kEntityRun: {
-            PostingRunCounter<CellRef> runs(e2_postings, e2_blocks);
-            batch.active.PartitionInto(
-                &batch.scratch, [&](uint32_t t) {
-                  return runs.CountAt(ws->plan[base + t].table) > 0;
-                });
-            break;
-          }
-          case ScreenCond::kTableSupport: {
-            batch.active.PartitionInto(
-                &batch.scratch, [&](uint32_t t) {
-                  return ws->TableHasMatchSupport(ws->plan[base + t].table);
-                });
-            break;
-          }
-        }
-        ws->filters.Record(cls, cond, in,
-                           batch.scratch.size() - pass_before);
-      }
-      // Unclaimed lanes: every screen condition failed, so neither an
-      // annotated hit nor a text match is possible anywhere in the
-      // table — the refined sum is zero and the bound is exactly 0.0.
-      for (uint32_t t : batch.active) ws->plan[base + t].bound = 0.0;
-      batch.scratch.SortAscending();
-      PostingRunCounter<CellRef> runs(e2_postings, e2_blocks);
-      for (uint32_t t : batch.scratch) {
-        search_internal::PlannedTable& p = ws->plan[base + t];
-        p.bound = refined_of(p, &runs);
-      }
-      if (explain) {
-        SearchWorkspace::FilterDecision d;
-        d.cls = cls;
-        d.lanes_in = n;
-        d.lanes_pass = batch.scratch.size();
-        d.num_conditions = static_cast<uint8_t>(
-            ws->filters.state(cls).num_conditions);
-        d.exploring = exploring;
-        d.order = order_used;
-        ws->filter_log.push_back(d);
-      }
-    }
-    ws->filters.EndBatch(cls);
+void FillRefinedBounds(SearchWorkspace* ws,
+                       std::span<const CellRef> e2_postings,
+                       PostingBlockSpan e2_blocks, RefinedFn&& refined_of) {
+  PostingRunCounter<CellRef> e2_runs(e2_postings, e2_blocks);
+  for (PlannedTable& p : ws->plan) {
+    const bool alive = ws->TableHasMatchSupport(p.table) ||
+                       e2_runs.CountAt(p.table) > 0;
+    p.bound = alive ? refined_of(p, &e2_runs) : 0.0;
   }
 }
 
@@ -332,10 +256,9 @@ inline void RecordQueryStatsMetrics(
 /// The shared execution skeleton every select engine runs after
 /// building its plan: record plan stats, compute per-table bounds and
 /// suffix sums when pruning applies (`fill_bounds()` writes every
-/// plan entry's upper bound on one answer's evidence — either the
-/// engine's scalar loop or the batched adaptive screen above), then
-/// score tables in ascending order with the safe early-stop check
-/// after each.
+/// plan entry's upper bound on one answer's evidence), then score
+/// tables in ascending order with the safe early-stop check after
+/// each.
 /// Keeping this in one place keeps the stop condition and stats
 /// accounting from drifting apart across engines.
 ///

@@ -26,7 +26,6 @@ void TypeRelationSearch(const CorpusView& index, const SelectQuery& query,
   using search_internal::PlannedTable;
   using search_internal::PostingCursor;
   using search_internal::PostingRunCounter;
-  using search_internal::ScreenCond;
 
   ws->BeginSelect(nq.e2_text);
   const bool prune = topk.k > 0 && topk.prune;
@@ -64,8 +63,7 @@ void TypeRelationSearch(const CorpusView& index, const SelectQuery& query,
   // annotated pair) of the table. Refined: per pair at most the object
   // column's E2-annotated cell count (1.2 each) plus, only when that
   // object column can text-match the target, rows text fallbacks
-  // (0.7). Shared by the scalar loop and the batched screen's survivor
-  // pass.
+  // (0.7).
   auto refined_bound = [&](const PlannedTable& p,
                            PostingRunCounter<CellRef>* e2_runs) {
     const double rows = index.rows(p.table);
@@ -92,18 +90,8 @@ void TypeRelationSearch(const CorpusView& index, const SelectQuery& query,
       }
       return;
     }
-    if (topk.batch) {
-      ws->EnsureFilterClasses();
-      static constexpr ScreenCond kKinds[] = {ScreenCond::kEntityRun,
-                                              ScreenCond::kTableSupport};
-      search_internal::BatchedBoundFill(ws,
-                                        ws->filter_class_type_relation,
-                                        kKinds, e2_postings, e2_blocks,
-                                        refined_bound);
-      return;
-    }
-    PostingRunCounter<CellRef> e2_runs(e2_postings, e2_blocks);
-    for (PlannedTable& p : ws->plan) p.bound = refined_bound(p, &e2_runs);
+    search_internal::FillRefinedBounds(ws, e2_postings, e2_blocks,
+                                       refined_bound);
   };
 
   auto scalar_score = [&](const PlannedTable& p) {

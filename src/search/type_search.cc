@@ -26,7 +26,6 @@ void TypeSearch(const CorpusView& index, const SelectQuery& query,
   using search_internal::IntersectByTable;
   using search_internal::PlannedTable;
   using search_internal::PostingRunCounter;
-  using search_internal::ScreenCond;
 
   ws->BeginSelect(nq.e2_text);
   const bool prune = topk.k > 0 && topk.prune;
@@ -68,9 +67,7 @@ void TypeSearch(const CorpusView& index, const SelectQuery& query,
   // answer cell, matching E2 column) triple. With match support the E2
   // side tightens: per b-column, at most its count of E2-annotated
   // cells at 1.0 each, plus text fallbacks (0.6) only when that column
-  // actually contains enough of the target's tokens. Shared verbatim
-  // by the scalar loop and the batched screen's survivor pass, so both
-  // produce the same doubles.
+  // actually contains enough of the target's tokens.
   auto refined_bound = [&](const PlannedTable& p,
                            PostingRunCounter<CellRef>* e2_runs) {
     const double rows = index.rows(p.table);
@@ -97,17 +94,8 @@ void TypeSearch(const CorpusView& index, const SelectQuery& query,
       }
       return;
     }
-    if (topk.batch) {
-      ws->EnsureFilterClasses();
-      static constexpr ScreenCond kKinds[] = {ScreenCond::kEntityRun,
-                                              ScreenCond::kTableSupport};
-      search_internal::BatchedBoundFill(ws, ws->filter_class_type, kKinds,
-                                        e2_postings, e2_blocks,
-                                        refined_bound);
-      return;
-    }
-    PostingRunCounter<CellRef> e2_runs(e2_postings, e2_blocks);
-    for (PlannedTable& p : ws->plan) p.bound = refined_bound(p, &e2_runs);
+    search_internal::FillRefinedBounds(ws, e2_postings, e2_blocks,
+                                       refined_bound);
   };
 
   auto scalar_score = [&](const PlannedTable& p) {

@@ -342,37 +342,6 @@ const char* VerdictName(SearchWorkspace::TableDecision::Verdict verdict) {
   return "unknown";
 }
 
-/// One FilterManager class as JSON: the current permutation (condition
-/// names, evaluation order), measured per-condition selectivities, and
-/// the explore/exploit bookkeeping.
-Json FilterClassJson(const exec::FilterManager::ClassState& cls) {
-  Json json = Json::Object();
-  json.Set("name", Json::String(cls.name != nullptr ? cls.name : ""));
-  json.Set("batches", Json::Number(static_cast<double>(cls.batches)));
-  json.Set("resamples", Json::Number(static_cast<double>(cls.resamples)));
-  json.Set("exploring", Json::Bool(cls.exploring));
-  Json order = Json::Array();
-  for (int i = 0; i < cls.num_conditions; ++i) {
-    const auto& cond = cls.conditions[cls.order[i]];
-    order.Append(Json::String(cond.name != nullptr ? cond.name : ""));
-  }
-  json.Set("order", std::move(order));
-  Json conditions = Json::Array();
-  for (int i = 0; i < cls.num_conditions; ++i) {
-    const auto& cond = cls.conditions[i];
-    Json item = Json::Object();
-    item.Set("name", Json::String(cond.name != nullptr ? cond.name : ""));
-    item.Set("cost", Json::Number(cond.cost));
-    item.Set("evaluated",
-             Json::Number(static_cast<double>(cond.evaluated)));
-    item.Set("passed", Json::Number(static_cast<double>(cond.passed)));
-    item.Set("pass_rate", Json::Number(cond.PassRate()));
-    conditions.Append(std::move(item));
-  }
-  json.Set("conditions", std::move(conditions));
-  return json;
-}
-
 /// The search EXPLAIN payload: one entry per planned table in scan
 /// order, plus the counter cross-check (planned/scored/stopped_early
 /// recomputed from the log itself must match the engine's stats —
@@ -406,39 +375,6 @@ Json SearchExplainJson(const SearchResponse& response) {
        scored == response.stats.tables_scored &&
        (scored < planned) == response.stats.stopped_early);
   explain.Set("consistent", Json::Bool(consistent));
-
-  // The adaptive reorderer's side of the story: which condition order
-  // each batched bound screen ran (the determinism test replays this
-  // trace), plus the per-class state the orders were derived from.
-  Json classes = Json::Array();
-  for (const exec::FilterManager::ClassState& cls :
-       response.filter_classes) {
-    classes.Append(FilterClassJson(cls));
-  }
-  Json decisions = Json::Array();
-  for (const SearchWorkspace::FilterDecision& d : response.filter_log) {
-    Json item = Json::Object();
-    const size_t cls = static_cast<size_t>(d.cls);
-    item.Set("class",
-             cls < response.filter_classes.size() &&
-                     response.filter_classes[cls].name != nullptr
-                 ? Json::String(response.filter_classes[cls].name)
-                 : Json::Number(static_cast<double>(d.cls)));
-    item.Set("lanes_in", Json::Number(static_cast<double>(d.lanes_in)));
-    item.Set("lanes_pass",
-             Json::Number(static_cast<double>(d.lanes_pass)));
-    item.Set("exploring", Json::Bool(d.exploring));
-    Json order = Json::Array();
-    for (int i = 0; i < d.num_conditions; ++i) {
-      order.Append(Json::Number(static_cast<double>(d.order[i])));
-    }
-    item.Set("order", std::move(order));
-    decisions.Append(std::move(item));
-  }
-  Json filters = Json::Object();
-  filters.Set("classes", std::move(classes));
-  filters.Set("screens", std::move(decisions));
-  explain.Set("filters", std::move(filters));
   return explain;
 }
 
@@ -631,23 +567,6 @@ std::string RenderStatsResponse(const ServiceStats& stats,
   cache.Set("entries",
             Json::Number(static_cast<double>(stats.cache.entries)));
   json.Set("cache", std::move(cache));
-  // Adaptive screen-reorderer state, one entry per worker that has
-  // executed a search (workers own their FilterManagers, so
-  // permutations are per worker by construction).
-  Json filter_workers = Json::Array();
-  for (size_t w = 0; w < stats.filter_classes.size(); ++w) {
-    if (stats.filter_classes[w].empty()) continue;
-    Json worker = Json::Object();
-    worker.Set("worker", Json::Number(static_cast<double>(w)));
-    Json classes = Json::Array();
-    for (const exec::FilterManager::ClassState& cls :
-         stats.filter_classes[w]) {
-      classes.Append(FilterClassJson(cls));
-    }
-    worker.Set("classes", std::move(classes));
-    filter_workers.Append(std::move(worker));
-  }
-  json.Set("filter_classes", std::move(filter_workers));
   const obs::ProcessStats process = obs::ReadProcessStats();
   Json proc = Json::Object();
   proc.Set("rss_bytes",

@@ -69,9 +69,8 @@ void WebTabService::Start() {
   started_ = true;
   const int n = std::max(1, options_.num_workers);
   workers_.reserve(n);
-  filter_states_.resize(n);
   for (int i = 0; i < n; ++i) {
-    workers_.emplace_back([this, i] { WorkerLoop(i); });
+    workers_.emplace_back([this] { WorkerLoop(); });
   }
   if (options_.timeseries_tick_ms > 0) {
     collector_ = std::thread([this] { CollectorLoop(); });
@@ -262,16 +261,11 @@ ServiceStats WebTabService::stats() const {
   stats.search_requests = search_requests_.load(std::memory_order_relaxed);
   stats.swaps = swaps_.load(std::memory_order_relaxed);
   if (cache_ != nullptr) stats.cache = cache_->GetStats();
-  {
-    std::lock_guard<std::mutex> lock(filter_mu_);
-    stats.filter_classes = filter_states_;
-  }
   return stats;
 }
 
-void WebTabService::WorkerLoop(int worker_index) {
+void WebTabService::WorkerLoop() {
   WorkerState state;
-  state.worker_index = worker_index;
   while (auto item = queue_.Pop()) {
     Execute(item->get(), &state);
     completed_.fetch_add(1, std::memory_order_relaxed);
@@ -549,19 +543,6 @@ void WebTabService::ExecuteSearch(Request* request, WorkerState* state,
     response.explain_log = ws->decision_log;
     response.explain_bounds_valid = ws->decision_bounds_valid;
     response.has_explain = true;
-    const std::span<const exec::FilterManager::ClassState> classes =
-        ws->filter_manager().classes();
-    response.filter_classes.assign(classes.begin(), classes.end());
-    response.filter_log = ws->filter_log;
-  }
-  // Publish this worker's reorderer state for {"op":"stats"}: a small
-  // trivially-copyable snapshot into the worker's own slot.
-  {
-    const std::span<const exec::FilterManager::ClassState> classes =
-        ws->filter_manager().classes();
-    std::lock_guard<std::mutex> lock(filter_mu_);
-    filter_states_[state->worker_index].assign(classes.begin(),
-                                               classes.end());
   }
   if (request->want_trace) {
     response.trace = obs::TraceSummary::From(state->trace, meta.work_millis);

@@ -101,14 +101,6 @@ struct SearchResponse {
   std::vector<SearchWorkspace::TableDecision> explain_log;
   bool explain_bounds_valid = false;
   bool has_explain = false;
-  /// Adaptive screen-reorderer view, filled alongside the decision log:
-  /// the worker's per-class FilterManager state after this query
-  /// (permutation, measured pass rates, explore/exploit) plus one
-  /// FilterDecision per batched bound screen the query ran. The
-  /// determinism test replays a fixed query sequence against a fixed
-  /// seed and asserts the order trace bit for bit.
-  std::vector<exec::FilterManager::ClassState> filter_classes;
-  std::vector<SearchWorkspace::FilterDecision> filter_log;
 };
 
 struct AnnotateResponse {
@@ -132,12 +124,6 @@ struct ServiceStats {
   uint64_t search_requests = 0;
   uint64_t swaps = 0;
   ResultCache::Stats cache;
-  /// Per-worker adaptive-reorderer state (one entry per worker that has
-  /// executed a search; empty slots are workers that have not). Each
-  /// worker owns its FilterManager, so permutations and counters are
-  /// reported per worker, not merged — two workers may legitimately sit
-  /// on different permutations mid-exploration.
-  std::vector<std::vector<exec::FilterManager::ClassState>> filter_classes;
 };
 
 /// The online serving facade: answers annotate-one-table and all four
@@ -277,8 +263,6 @@ class WebTabService {
   /// workspace, and the similarity scratch memoizing f1/f2 vectors —
   /// repeated cell strings across requests hit warm caches.
   struct WorkerState {
-    /// Slot into filter_states_ for this worker's reorderer snapshot.
-    int worker_index = 0;
     uint64_t version = 0;
     std::shared_ptr<const ServingSnapshot> pinned;
     std::unique_ptr<Vocabulary> vocab;
@@ -295,7 +279,7 @@ class WebTabService {
   };
 
   bool Enqueue(std::unique_ptr<Request> request);
-  void WorkerLoop(int worker_index);
+  void WorkerLoop();
   void Execute(Request* request, WorkerState* state);
   void ExecuteSearch(Request* request, WorkerState* state,
                      const SnapshotManager::Handle& handle,
@@ -314,13 +298,6 @@ class WebTabService {
   SnapshotManager* manager_;
   ServiceOptions options_;
   BoundedQueue<std::unique_ptr<Request>> queue_;
-  /// Per-worker FilterManager snapshots, published by workers after
-  /// each executed search and read by stats(). The mutex guards the
-  /// copies only; workers never block each other (distinct slots) and
-  /// the critical section is a memcpy of a few small trivially-copyable
-  /// structs.
-  mutable std::mutex filter_mu_;
-  std::vector<std::vector<exec::FilterManager::ClassState>> filter_states_;
   std::unique_ptr<ResultCache> cache_;  // null when caching disabled
   obs::TimeSeriesStore timeseries_;
   obs::ExemplarBuffer exemplars_;

@@ -4,8 +4,9 @@
 // exactly — identical cells (id, lemma ordinal, bit-identical score),
 // column_types and relations — on the in-memory and the snapshot
 // LemmaIndexView backends, with or without a reused workspace, across
-// reruns. Also asserts the similarity scratch changes no annotation
-// byte.
+// reruns, on a small test world and on the paper-default world's Fig. 9
+// corpus, plus a crafted catalog where a lemma repeats a wide token.
+// Also asserts the similarity scratch changes no annotation byte.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -13,11 +14,13 @@
 #include <vector>
 
 #include "annotate/annotator.h"
+#include "catalog/catalog_builder.h"
 #include "index/candidates.h"
 #include "reference_candidates.h"
 #include "storage/snapshot.h"
 #include "storage/snapshot_writer.h"
 #include "synth/corpus_generator.h"
+#include "synth/world_generator.h"
 #include "test_world.h"
 
 namespace webtab {
@@ -42,6 +45,24 @@ void ExpectSameCandidates(const TableCandidates& a,
   }
   EXPECT_EQ(a.column_types, b.column_types);
   EXPECT_EQ(a.relations, b.relations);
+}
+
+/// The equivalence sweep: GenerateCandidates through one reused
+/// workspace against the per-cell reference, table by table.
+void ExpectBatchedMatchesReference(const std::vector<Table>& tables,
+                                   const LemmaIndexView& index,
+                                   const CatalogView* catalog) {
+  ClosureCache closure(catalog);
+  CandidateOptions options;
+  CandidateWorkspace workspace;
+  for (size_t i = 0; i < tables.size(); ++i) {
+    SCOPED_TRACE("table " + std::to_string(i));
+    TableCandidates reference =
+        ReferenceGenerateCandidates(tables[i], index, &closure, options);
+    TableCandidates batched = GenerateCandidates(tables[i], index, &closure,
+                                                 options, &workspace);
+    ExpectSameCandidates(reference, batched);
+  }
 }
 
 void ExpectSameAnnotation(const TableAnnotation& a,
@@ -122,31 +143,71 @@ std::string* CandidateEquivalenceTest::path_ = nullptr;
 Snapshot* CandidateEquivalenceTest::snap_ = nullptr;
 
 TEST_F(CandidateEquivalenceTest, BatchedMatchesReferenceInMemory) {
-  const World& world = SharedWorld();
-  ClosureCache closure(&world.catalog);
-  CandidateOptions options;
-  CandidateWorkspace workspace;
-  for (const Table& table : *tables_) {
-    TableCandidates reference = ReferenceGenerateCandidates(
-        table, SharedIndex(), &closure, options);
-    TableCandidates batched = GenerateCandidates(table, SharedIndex(),
-                                                 &closure, options,
-                                                 &workspace);
-    ExpectSameCandidates(reference, batched);
-  }
+  ExpectBatchedMatchesReference(*tables_, SharedIndex(),
+                                &SharedWorld().catalog);
 }
 
 TEST_F(CandidateEquivalenceTest, BatchedMatchesReferenceOnSnapshot) {
-  ClosureCache closure(snap_->catalog());
+  ExpectBatchedMatchesReference(*tables_, *snap_->lemma_index(),
+                                snap_->catalog());
+}
+
+// The sweep's second input: the paper-default world (seed 42) and the
+// first 200 of the 800 Fig. 9 corpus tables (seed 51), built as the
+// repository benchmark builds its setup corpus.
+TEST(CandidateEquivalenceFig9Test, BatchedMatchesReferenceOnFig9Corpus) {
+  WorldSpec world_spec;
+  world_spec.seed = 42;
+  const World world = GenerateWorld(world_spec);
+  const LemmaIndex index(&world.catalog);
+  CorpusSpec corpus_spec;
+  corpus_spec.seed = 51;
+  corpus_spec.num_tables = 800;
+  std::vector<LabeledTable> corpus = GenerateCorpus(world, corpus_spec);
+  std::vector<Table> tables;
+  for (int i = 0; i < 200; ++i) tables.push_back(corpus[i].table);
+  ExpectBatchedMatchesReference(tables, index, &world.catalog);
+}
+
+// A lemma that repeats a token has one posting entry per repeat, so a
+// cell's single occurrence of that token adds idf^2 to the lemma once
+// per entry. Here "nova" has 35 postings; the cell pairs it with two
+// out-of-vocabulary tokens, which leaves every one-"nova" lemma under
+// min_entity_score while "Nora nova nova nova" clears it. A probe that
+// bounds a token's contribution once per cell occurrence drops that
+// candidate.
+TEST(CandidateEquivalenceRepeatTest, LemmaRepeatingAWideTokenKeepsCandidate) {
+  CatalogBuilder builder;
+  const TypeId thing = builder.AddType("thing");
+  auto add = [&](const std::string& lemma) {
+    const EntityId e = builder.AddEntity(lemma);
+    WEBTAB_CHECK_OK(builder.AddEntityLemma(e, lemma));
+    WEBTAB_CHECK_OK(builder.AddEntityType(e, thing));
+    return e;
+  };
+  auto letters = [](int i) {
+    return std::string{static_cast<char>('a' + i / 26),
+                       static_cast<char>('a' + i % 26)};
+  };
+  for (int i = 0; i < 32; ++i) add("Filler" + letters(i) + " nova");
+  const EntityId repeated = add("Nora nova nova nova");
+  // Lemmas without "nova" raise the document count, so "nova" carries
+  // enough idf for the repeated lemma to reach the threshold.
+  for (int i = 0; i < 67; ++i) add("Other" + letters(i));
+  Result<Catalog> catalog = builder.Build();
+  ASSERT_TRUE(catalog.ok()) << catalog.status().ToString();
+  const LemmaIndex index(&catalog.value());
+
+  Table table(1, 1);
+  table.set_cell(0, 0, "Quill nova Vex");
+  ClosureCache closure(&catalog.value());
   CandidateOptions options;
-  CandidateWorkspace workspace;
-  for (const Table& table : *tables_) {
-    TableCandidates reference = ReferenceGenerateCandidates(
-        table, *snap_->lemma_index(), &closure, options);
-    TableCandidates batched = GenerateCandidates(
-        table, *snap_->lemma_index(), &closure, options, &workspace);
-    ExpectSameCandidates(reference, batched);
-  }
+  TableCandidates reference =
+      ReferenceGenerateCandidates(table, index, &closure, options);
+  ASSERT_EQ(reference.cells[0][0].size(), 1u);
+  EXPECT_EQ(reference.cells[0][0][0].id, repeated);
+  ExpectSameCandidates(reference, GenerateCandidates(table, index, &closure,
+                                                     options));
 }
 
 TEST_F(CandidateEquivalenceTest, BackendsAgreeBitwise) {
@@ -179,19 +240,6 @@ TEST_F(CandidateEquivalenceTest, WorkspaceReuseAndRerunsAreStable) {
         GenerateCandidates(table, SharedIndex(), &closure, options, &reused);
     ExpectSameCandidates(warm, fresh);
     ExpectSameCandidates(warm, again);
-  }
-}
-
-TEST_F(CandidateEquivalenceTest, DeprecatedMemoizeFlagIsIgnored) {
-  const World& world = SharedWorld();
-  ClosureCache closure(&world.catalog);
-  CandidateOptions on;
-  CandidateOptions off;
-  off.memoize_cell_probes = false;  // Logs once; results unchanged.
-  for (const Table& table : *tables_) {
-    ExpectSameCandidates(
-        GenerateCandidates(table, SharedIndex(), &closure, on),
-        GenerateCandidates(table, SharedIndex(), &closure, off));
   }
 }
 

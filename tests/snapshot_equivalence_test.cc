@@ -135,31 +135,6 @@ TEST_F(SnapshotEquivalenceTest, CandidatesIdentical) {
   }
 }
 
-TEST_F(SnapshotEquivalenceTest, MemoizedProbesIdentical) {
-  // The per-cell probe cache is exact: toggling it changes nothing.
-  ClosureCache closure(&SharedWorld().catalog);
-  CandidateOptions memoized, unmemoized;
-  memoized.memoize_cell_probes = true;
-  unmemoized.memoize_cell_probes = false;
-  for (const Table& table : *tables_) {
-    TableCandidates a =
-        GenerateCandidates(table, SharedIndex(), &closure, memoized);
-    TableCandidates b =
-        GenerateCandidates(table, SharedIndex(), &closure, unmemoized);
-    EXPECT_EQ(a.column_types, b.column_types);
-    EXPECT_EQ(a.relations, b.relations);
-    for (size_t r = 0; r < a.cells.size(); ++r) {
-      for (size_t c = 0; c < a.cells[r].size(); ++c) {
-        ASSERT_EQ(a.cells[r][c].size(), b.cells[r][c].size());
-        for (size_t i = 0; i < a.cells[r][c].size(); ++i) {
-          EXPECT_EQ(a.cells[r][c][i].id, b.cells[r][c][i].id);
-          EXPECT_EQ(a.cells[r][c][i].score, b.cells[r][c][i].score);
-        }
-      }
-    }
-  }
-}
-
 TEST_F(SnapshotEquivalenceTest, AnnotationIdentical) {
   TableAnnotator snap_annotator(snap_->catalog(), snap_->lemma_index());
   for (size_t i = 0; i < tables_->size(); ++i) {

@@ -67,8 +67,6 @@ const std::vector<BenchSpec>& Specs() {
         {"metrics_overhead_fraction", Direction::kLowerBetter}}},
       {"candidates",
        {{"candidate_generation.speedup", Direction::kHigherBetter},
-        {"batch_kernel.postings_pruned_fraction",
-         Direction::kHigherBetter},
         {"f1_scoring.speedup", Direction::kHigherBetter}}},
       {"serving",
        {{"failures", Direction::kExactZero},
