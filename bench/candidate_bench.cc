@@ -1,7 +1,8 @@
 // Candidate-pipeline benchmark: per-table candidate-generation time
 // (retired per-cell reference prober vs the column-major batched
-// pipeline) and F1-scoring time (direct similarity calls vs the
-// memoizing SimilarityScratch) on a repeated-value synthetic corpus —
+// pipeline) and F1-scoring time (the direct similarity calls of
+// tests/reference_features.h vs FeatureComputer's memoizing
+// SimilarityScratch) on a repeated-value synthetic corpus —
 // the countries/clubs regime where web tables repeat cell strings
 // heavily. Emits BENCH_candidates.json with before/after numbers and
 // CHECKs the ≥2x candidate-generation acceptance bar, bit-identical
@@ -23,6 +24,7 @@
 #include "model/features.h"
 #include "obs/metrics.h"
 #include "reference_candidates.h"
+#include "reference_features.h"
 #include "synth/corpus_generator.h"
 #include "synth/world_generator.h"
 
@@ -64,19 +66,20 @@ void CheckSameCandidates(const TableCandidates& a,
   WEBTAB_CHECK(a.relations == b.relations) << "relations diverged";
 }
 
-/// Sum of Phi1 over every (cell, candidate entity) pair — the F1 hot
-/// loop of graph materialization, summed so the work cannot be elided
-/// and the two configurations can be checked for bit-equality.
+/// Sum of `phi1(cell text, entity)` over every (cell, candidate entity)
+/// pair — the F1 hot loop of graph materialization, summed so the work
+/// cannot be elided and the two paths can be checked for bit-equality.
+template <typename Phi1Fn>
 double ScoreAllF1(const std::vector<Table>& tables,
                   const std::vector<TableCandidates>& candidates,
-                  FeatureComputer* features, const Weights& weights) {
+                  Phi1Fn&& phi1) {
   double sum = 0.0;
   for (size_t i = 0; i < tables.size(); ++i) {
     const Table& table = tables[i];
     for (int r = 0; r < table.rows(); ++r) {
       for (int c = 0; c < table.cols(); ++c) {
         for (const LemmaHit& hit : candidates[i].cells[r][c]) {
-          sum += features->Phi1Log(weights, table.cell(r, c), hit.id);
+          sum += phi1(table.cell(r, c), hit.id);
         }
       }
     }
@@ -207,29 +210,37 @@ int main(int argc, char** argv) {
   const double metrics_overhead = base > 0 ? extra / base : 0.0;
 
   // --- F1 scoring: direct similarity calls vs SimilarityScratch.
-  // Fresh computers per configuration; scratch-off reps pay full cost
-  // every pass, scratch-on reps run at steady state after the first
-  // (warm-up) pass — the profile annotation and training actually see.
-  FeatureOptions no_scratch;
-  no_scratch.use_similarity_scratch = false;
-  FeatureComputer plain(&closure, index.vocabulary(), no_scratch);
+  // The direct calls pay full cost every pass; a fresh computer's
+  // scratch reps run at steady state after the first (warm-up) pass —
+  // the profile annotation and training actually see. Both weight f1
+  // the way Phi1Log does: w1 · f1, summed in index order.
   FeatureComputer memoized(&closure, index.vocabulary());
   const Weights weights = Weights::Default();
+  auto direct_phi1 = [&](std::string_view text, EntityId e) {
+    const std::array<double, kF1Size> f = testing_util::ReferenceF1(
+        world.catalog, index.vocabulary(), text, e);
+    double sum = 0.0;
+    for (int k = 0; k < kF1Size; ++k) sum += weights.w1[k] * f[k];
+    return sum;
+  };
+  auto scratch_phi1 = [&](std::string_view text, EntityId e) {
+    return memoized.Phi1Log(weights, text, e);
+  };
 
-  const double plain_sum = ScoreAllF1(tables, batched, &plain, weights);
+  const double plain_sum = ScoreAllF1(tables, batched, direct_phi1);
   timer.Restart();
   double check = 0.0;
   for (int64_t rep = 0; rep < reps; ++rep) {
-    check = ScoreAllF1(tables, batched, &plain, weights);
+    check = ScoreAllF1(tables, batched, direct_phi1);
   }
   const double f1_plain_ms =
       timer.ElapsedMillis() / static_cast<double>(reps * tables.size());
   WEBTAB_CHECK(check == plain_sum) << "unmemoized F1 scoring unstable";
 
-  const double scratch_sum = ScoreAllF1(tables, batched, &memoized, weights);
+  const double scratch_sum = ScoreAllF1(tables, batched, scratch_phi1);
   timer.Restart();
   for (int64_t rep = 0; rep < reps; ++rep) {
-    check = ScoreAllF1(tables, batched, &memoized, weights);
+    check = ScoreAllF1(tables, batched, scratch_phi1);
   }
   const double f1_scratch_ms =
       timer.ElapsedMillis() / static_cast<double>(reps * tables.size());

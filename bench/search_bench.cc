@@ -4,16 +4,13 @@
 // annotated synthetic corpus, per engine:
 //
 //   - reference full rank    (the pre-refactor per-query shape)
-//   - kernel full rank       (vectorized batch path; byte-identical, CHECKed)
-//   - scalar full rank       (retained scalar path; byte-identical, CHECKed)
+//   - kernel full rank       (byte-identical, CHECKed)
 //   - kernel top-10, pruned  (identical prefix, CHECKed)
 //
 // Emits BENCH_search.json with per-engine QPS and p50 latency, a
-// steady-state allocation count for the kernel path, a batch_kernel
-// section (vectorized vs scalar full-rank, same run), and acceptance
+// steady-state allocation count for the kernel path, and acceptance
 // CHECKs: >= 2x geomean on the pruned top-k path vs the reference full
-// rank, >= 2x geomean on the batch kernels vs the scalar path, and zero
-// steady-state allocations per query.
+// rank, and zero steady-state allocations per query.
 //
 //   ./search_bench --tables 240 --out BENCH_search.json
 #include <algorithm>
@@ -63,8 +60,7 @@ namespace {
 
 struct Timings {
   double reference_ms = 0.0;   // full rank, map/set engines
-  double kernel_full_ms = 0.0; // full rank, vectorized batch kernel
-  double scalar_full_ms = 0.0; // full rank, retained scalar kernel path
+  double kernel_full_ms = 0.0; // full rank
   double kernel_topk_ms = 0.0; // k=10, pruning on
   double p50_reference_ms = 0.0;
   double p50_topk_ms = 0.0;
@@ -73,11 +69,6 @@ struct Timings {
   int64_t tables_scored = 0;
   double speedup() const {
     return kernel_topk_ms > 0 ? reference_ms / kernel_topk_ms : 0.0;
-  }
-  /// The batch-kernel acceptance figure: vectorized vs scalar execution
-  /// of the same full-rank kernel, same run, same machine.
-  double batch_full_speedup() const {
-    return kernel_full_ms > 0 ? scalar_full_ms / kernel_full_ms : 0.0;
   }
 };
 
@@ -209,10 +200,6 @@ int main(int argc, char** argv) {
   }
   const TopKOptions full_rank{};
   const TopKOptions topk{static_cast<int>(top_k), true};
-  // The retained scalar execution path: same kernel entry points, batch
-  // execution disabled. Kept as the bit-identity reference for the
-  // vectorized path and timed in the same run for the speedup gate.
-  const TopKOptions scalar_full{0, true, /*batch=*/false};
 
   SearchWorkspace ws;
   std::vector<SearchResult> got;
@@ -230,9 +217,6 @@ int main(int argc, char** argv) {
       std::vector<SearchResult> want =
           engine.reference(corpus, queries[i], normalized[i]);
       engine.kernel(corpus, queries[i], normalized[i], full_rank, &ws,
-                    &got);
-      CheckExact(got, want, engine.name);
-      engine.kernel(corpus, queries[i], normalized[i], scalar_full, &ws,
                     &got);
       CheckExact(got, want, engine.name);
       engine.kernel(corpus, queries[i], normalized[i], topk, &ws, &got);
@@ -271,16 +255,6 @@ int main(int argc, char** argv) {
       }
     }
     t.kernel_full_ms = timer.ElapsedMillis() /
-                       static_cast<double>(reps * queries.size());
-
-    timer.Restart();
-    for (int64_t rep = 0; rep < reps; ++rep) {
-      for (size_t i = 0; i < queries.size(); ++i) {
-        engine.kernel(corpus, queries[i], normalized[i], scalar_full, &ws,
-                      &got);
-      }
-    }
-    t.scalar_full_ms = timer.ElapsedMillis() /
                        static_cast<double>(reps * queries.size());
 
     // Warmup passes so every arena/table/string reaches its peak
@@ -329,11 +303,13 @@ int main(int argc, char** argv) {
     const auto& tuples = world.true_relations[world.directed].tuples;
     const size_t stride = std::max<size_t>(1, tuples.size() / 8);
     for (size_t i = 0; i < tuples.size(); i += stride) {
+      // "Actors in movies directed by D": acted_in(movie, actor) and
+      // directed(movie, director).
       JoinQuery jq;
       jq.r1 = world.acted_in;
-      jq.e1_is_subject = true;
+      jq.e1_is_subject = false;
       jq.r2 = world.directed;
-      jq.e2_is_subject = false;
+      jq.e2_is_subject = true;
       jq.e3 = tuples[i].second;
       jq.e3_text =
           std::string(world.catalog.EntityName(tuples[i].second));
@@ -494,8 +470,6 @@ int main(int argc, char** argv) {
         "    \"reference_full_p50_ms\": %.4f,\n"
         "    \"reference_full_qps\": %.1f,\n"
         "    \"kernel_full_ms_per_query\": %.4f,\n"
-        "    \"scalar_full_ms_per_query\": %.4f,\n"
-        "    \"batch_full_speedup\": %.2f,\n"
         "    \"kernel_top%d_ms_per_query\": %.4f,\n"
         "    \"kernel_top%d_p50_ms\": %.4f,\n"
         "    \"kernel_top%d_qps\": %.1f,\n"
@@ -506,7 +480,7 @@ int main(int argc, char** argv) {
         "  },\n",
         engines[e].name, t.reference_ms, t.p50_reference_ms,
         t.reference_ms > 0 ? 1000.0 / t.reference_ms : 0.0,
-        t.kernel_full_ms, t.scalar_full_ms, t.batch_full_speedup(),
+        t.kernel_full_ms,
         static_cast<int>(top_k), t.kernel_topk_ms,
         static_cast<int>(top_k), t.p50_topk_ms, static_cast<int>(top_k),
         t.kernel_topk_ms > 0 ? 1000.0 / t.kernel_topk_ms : 0.0,
@@ -516,24 +490,6 @@ int main(int argc, char** argv) {
         static_cast<long long>(t.tables_planned));
     check_fits(n);
   }
-  // Batch-kernel acceptance section: the vectorized full-rank sweep vs
-  // the retained scalar path, same run. bench_diff gates the geomean.
-  double batch_geomean = 1.0;
-  for (int e = 0; e < 3; ++e) batch_geomean *= timings[e].batch_full_speedup();
-  batch_geomean = std::cbrt(batch_geomean);
-  n += std::snprintf(buf + n, sizeof(buf) - n, "  \"batch_kernel\": {\n");
-  check_fits(n);
-  for (int e = 0; e < 3; ++e) {
-    n += std::snprintf(buf + n, sizeof(buf) - n,
-                       "    \"%s_full_speedup\": %.2f,\n", engines[e].name,
-                       timings[e].batch_full_speedup());
-    check_fits(n);
-  }
-  n += std::snprintf(buf + n, sizeof(buf) - n,
-                     "    \"geomean_full_speedup\": %.2f\n"
-                     "  },\n",
-                     batch_geomean);
-  check_fits(n);
   n += std::snprintf(buf + n, sizeof(buf) - n,
                      "  \"join\": {\n"
                      "    \"reference_full_ms_per_query\": %.4f,\n"
@@ -575,12 +531,6 @@ int main(int argc, char** argv) {
   geomean = std::cbrt(geomean);
   WEBTAB_CHECK(geomean >= 2.0)
       << "select-engine top-k speedup geomean " << geomean << " < 2x";
-  // Batch-kernel acceptance: the vectorized full-rank sweep must at
-  // least halve per-query time vs the retained scalar path (both CHECKed
-  // bit-identical against the reference above), geomean across engines.
-  WEBTAB_CHECK(batch_geomean >= 2.0)
-      << "batch-vs-scalar full-rank speedup geomean " << batch_geomean
-      << " < 2x";
   WEBTAB_CHECK(allocs_per_query == 0.0)
       << "kernel hot path allocated " << allocs_per_query
       << " times per query at steady state (tracing attached)";

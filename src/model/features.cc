@@ -6,8 +6,6 @@
 
 #include "catalog/relatedness.h"
 #include "common/logging.h"
-#include "text/similarity.h"
-#include "text/soft_tfidf.h"
 
 namespace webtab {
 
@@ -22,45 +20,14 @@ double Dot(const std::vector<double>& w, const std::array<double, N>& f) {
 }
 
 /// Max over lemmas of each similarity measure, packed as
-/// [cosine, jaccard, dice, soft-tfidf, exact, bias]. `lemma_at(i)` yields
-/// the i-th lemma as a string_view so both catalog backends (heap records
-/// and mmap'd string arenas) feed the same code.
-template <size_t N, typename LemmaAt>
-void TextSimilarityFeatures(std::string_view text, int32_t num_lemmas,
-                            LemmaAt lemma_at, Vocabulary* vocab,
-                            std::array<double, N>* out) {
-  static_assert(N >= 6);
-  for (int32_t i = 0; i < num_lemmas; ++i) {
-    std::string_view lemma = lemma_at(i);
-    (*out)[0] = std::max((*out)[0], TfIdfCosine(text, lemma, vocab));
-    (*out)[1] = std::max((*out)[1], JaccardSimilarity(text, lemma));
-    (*out)[2] = std::max((*out)[2], DiceSimilarity(text, lemma));
-    (*out)[3] = std::max((*out)[3], SoftTfIdfSimilarity(text, lemma, vocab));
-    if (ExactNormalizedMatch(text, lemma)) (*out)[4] = 1.0;
-  }
-  (*out)[5] = 1.0;  // Bias: fires on any non-na label.
-}
-
-}  // namespace
-
-FeatureComputer::FeatureComputer(ClosureCache* closure, Vocabulary* vocab,
-                                 FeatureOptions options)
-    : closure_(closure),
-      vocab_(vocab),
-      options_(options),
-      similarity_(vocab) {
-  WEBTAB_CHECK(closure != nullptr);
-  WEBTAB_CHECK(vocab != nullptr);
-}
-
-namespace {
-
-/// Max over lemma measure bundles — the scratch-backed twin of
-/// TextSimilarityFeatures, scoring prepared strings instead of
-/// re-tokenizing both sides for every measure. Streaming max over the
-/// same per-lemma values in the same order gives identical doubles.
-/// The scratch compacts (when over budget) only here, before the query
-/// is prepared, so prepared ids stay valid through the loop.
+/// [cosine, jaccard, dice, soft-tfidf, exact, bias]. Scores prepared
+/// strings instead of re-tokenizing both sides for every measure; the
+/// direct similarity calls in tests/reference_features.h give identical
+/// doubles (streaming max over the same per-lemma values in the same
+/// order). `lemma_at(i)` yields the i-th lemma as a string_view so both
+/// catalog backends (heap records and mmap'd string arenas) feed the
+/// same code. The scratch compacts (when over budget) only here, before
+/// the query is prepared, so prepared ids stay valid through the loop.
 template <size_t N, typename LemmaAt>
 void BundleSimilarityFeatures(SimilarityScratch* scratch,
                               std::string_view text, int32_t num_lemmas,
@@ -82,21 +49,23 @@ void BundleSimilarityFeatures(SimilarityScratch* scratch,
 
 }  // namespace
 
+FeatureComputer::FeatureComputer(ClosureCache* closure, Vocabulary* vocab,
+                                 FeatureOptions options)
+    : closure_(closure),
+      options_(options),
+      similarity_(vocab) {
+  WEBTAB_CHECK(closure != nullptr);
+  WEBTAB_CHECK(vocab != nullptr);
+}
+
 std::array<double, kF1Size> FeatureComputer::F1(std::string_view cell_text,
                                                 EntityId e) const {
   std::array<double, kF1Size> f{};
   if (e == kNa) return f;
   const CatalogView& cat = catalog();
-  if (!options_.use_similarity_scratch) {
-    TextSimilarityFeatures(
-        cell_text, cat.NumEntityLemmas(e),
-        [&](int32_t i) { return cat.EntityLemma(e, i); }, vocab_, &f);
-    return f;
-  }
   const int32_t n = cat.NumEntityLemmas(e);
   if (n == 0) {
-    // No lemmas: only the bias fires — and no query tokens are interned,
-    // matching the streaming path's no-op loop.
+    // No lemmas: only the bias fires, and no query tokens are interned.
     f[5] = 1.0;
     return f;
   }
@@ -117,12 +86,6 @@ std::array<double, kF2Size> FeatureComputer::F2(std::string_view header_text,
     return f;
   }
   const CatalogView& cat = catalog();
-  if (!options_.use_similarity_scratch) {
-    TextSimilarityFeatures(
-        header_text, cat.NumTypeLemmas(t),
-        [&](int32_t i) { return cat.TypeLemma(t, i); }, vocab_, &f);
-    return f;
-  }
   const int32_t n = cat.NumTypeLemmas(t);
   if (n == 0) {
     f[5] = 1.0;

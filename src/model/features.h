@@ -19,15 +19,6 @@ struct FeatureOptions {
   CompatMode compat_mode = CompatMode::kRecipSqrtDist;
   /// Disables the φ3 missing-link hint (ablation A3 in DESIGN.md).
   bool use_missing_link = true;
-  /// Score f1/f2 through a SimilarityScratch, which prepares each
-  /// distinct string once and memoizes Jaro-Winkler per token pair.
-  /// Results are bit-identical either way (asserted in
-  /// tests/candidate_equivalence_test.cc); disabling exists for
-  /// ablation and the before/after numbers in bench/candidate_bench.cc.
-  /// There is no memo per (string, label) pair or per f1/f2 vector: its
-  /// memory grew with the tables a worker served, and fresh tables
-  /// rarely repeat a pair, so it bought no latency.
-  bool use_similarity_scratch = true;
 };
 
 /// Computes the feature families f1..f5 of §4.2 and their weighted scores
@@ -110,15 +101,19 @@ class FeatureComputer {
                                  double min_overlap) const;
 
   ClosureCache* closure_;
-  Vocabulary* vocab_;
   FeatureOptions options_;
 
   // Cache: (rel, t, role) -> participation fraction.
   std::unordered_map<uint64_t, double> participation_cache_;
 
-  /// Prepared strings + Jaro-Winkler token memo behind F1/F2. Mutable:
-  /// F1/F2 are logically const lookups (the computer is documented
-  /// single-worker, not thread-safe).
+  /// Prepared strings + Jaro-Winkler token memo behind F1/F2: each
+  /// distinct string is prepared once and Jaro-Winkler memoized per
+  /// token pair, bit-identical to the direct similarity calls (asserted
+  /// in tests/candidate_equivalence_test.cc). There is no memo per
+  /// (string, label) pair or per f1/f2 vector: its memory grew with the
+  /// tables a worker served, and fresh tables rarely repeat a pair, so
+  /// it bought no latency. Mutable: F1/F2 are logically const lookups
+  /// (the computer is documented single-worker, not thread-safe).
   mutable SimilarityScratch similarity_;
 };
 

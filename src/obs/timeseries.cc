@@ -85,10 +85,15 @@ void TimeSeriesStore::Tick(const std::vector<MetricDump>& dump) {
 
 int TimeSeriesStore::WindowSlots(double window_s) const {
   if (ticks_ == 0) return 0;
-  int want = static_cast<int>(std::lround(window_s / options_.tick_seconds));
-  if (want < 1) want = 1;
   const int64_t retained = std::min<int64_t>(ticks_, options_.capacity);
-  return static_cast<int>(std::min<int64_t>(want, retained));
+  // Clamp in double before converting: a huge window's tick count does
+  // not fit an int.
+  const double want = std::round(window_s / options_.tick_seconds);
+  if (!(want > 1.0)) return 1;  // also NaN
+  if (want >= static_cast<double>(retained)) {
+    return static_cast<int>(retained);
+  }
+  return static_cast<int>(want);
 }
 
 void TimeSeriesStore::RollupLocked(const std::string& name, const Series& s,

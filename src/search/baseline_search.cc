@@ -64,10 +64,9 @@ void BaselineSearch(const CorpusView& index, const SelectQuery& /*query*/,
   const bool prune = topk.k > 0 && topk.prune;
   // The baseline's only match path is CellMatchesText against E2's
   // string, so a table outside the match-support set scores nothing.
-  // The batch path builds the set on full-rank scans too: its
-  // scoring-side verdicts skip proven-matchless columns exactly.
-  const bool support_valid =
-      (prune || topk.batch) && ws->BuildMatchSupport(index);
+  // The set is built on full-rank scans too: the scoring-side verdicts
+  // skip proven-matchless columns exactly.
+  const bool support_valid = ws->BuildMatchSupport(index);
   const bool refine = prune && support_valid;
 
   // Candidate columns per side via header-token postings.
@@ -135,57 +134,26 @@ void BaselineSearch(const CorpusView& index, const SelectQuery& /*query*/,
                                        PostingBlockSpan(), refined_bound);
   };
 
-  auto scalar_score = [&](const PlannedTable& p) {
-    const int table = p.table;
-    const int num_rows = index.rows(table);
-    const double score = table_score(table);
-    for (uint32_t bi = p.b_begin; bi < p.b_end; ++bi) {
-      const int c2 = ws->col_pool[bi];
-      for (int r = 0; r < num_rows; ++r) {
-        if (!ws->CellMatches(index.cell(table, r, c2))) continue;
-        for (uint32_t ai = p.a_begin; ai < p.a_end; ++ai) {
-          const int c1 = ws->col_pool[ai];
-          if (c1 == c2) continue;
-          ws->AddText(table, index.cell(table, r, c1), score);
-        }
-      }
-    }
-  };
-
   // Lazy verdicts (no entity lane in the baseline: support only).
   PostingRunCounter<CellRef> verdict_runs{std::span<const CellRef>(),
                                           PostingBlockSpan()};
-  auto batch_score = [&](const PlannedTable& p) {
+  auto score_table = [&](const PlannedTable& p) {
     search_internal::FillColumnVerdicts(ws, p, &verdict_runs,
                                         /*e2_present=*/false,
                                         support_valid);
     const int table = p.table;
-    const double score = table_score(table);
-    auto score_chunk = [&](exec::ScoreBatch* batch, int n,
-                           bool /*has_entity*/, bool /*has_support*/) {
-      uint32_t* tids = batch->active.mutable_data();
-      uint32_t m = 0;
-      for (int i = 0; i < n; ++i) {
-        tids[m] = static_cast<uint32_t>(i);
-        batch->score[m] = score;
-        m += static_cast<uint32_t>(ws->CellMatches(batch->text[i]));
-      }
-      batch->active.SetSize(m);
-    };
+    // Every text-matching row scores the table's context score.
     search_internal::ScoreTableBatched(
-        ws, index, p, /*need_answer_entities=*/false, score_chunk,
+        ws, index, p, /*e2=*/kNa, /*hit=*/0.0,
+        /*fallback=*/table_score(table), /*need_answer_entities=*/false,
         [&](uint32_t k, uint32_t i, double rs) {
           ws->AddText(table, ws->gather_cells[k * exec::kBatchSize + i],
                       rs);
         });
   };
 
-  if (topk.batch) {
-    search_internal::PrepareVerdictLanes(ws, ws->col_pool.size());
-    search_internal::RunPlannedTables(ws, topk, fill_bounds, batch_score);
-  } else {
-    search_internal::RunPlannedTables(ws, topk, fill_bounds, scalar_score);
-  }
+  search_internal::PrepareVerdictLanes(ws, ws->col_pool.size());
+  search_internal::RunPlannedTables(ws, topk, fill_bounds, score_table);
   ws->EmitRanked(topk, out);
 }
 

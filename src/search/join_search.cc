@@ -10,7 +10,9 @@ namespace webtab {
 namespace {
 
 /// Collects bindings of the unbound side of relation `rel` given the
-/// grounded side, by scanning the relation's annotated column pairs.
+/// grounded side, by scanning the relation's annotated column pairs
+/// through the shared row-chunk scorer (row score 1.0 where the grounded
+/// column holds the grounded entity, else 0.6 on a text match).
 /// grounded_is_object: the grounded entity sits in the object column.
 /// Accumulates into the workspace's flat entity accumulator (the scratch
 /// replacement for the retired per-call std::map). `grounded_text` must
@@ -26,9 +28,11 @@ namespace {
 /// legs scan everything.
 void ExpandLeg(const CorpusView& index, RelationId rel, EntityId grounded,
                std::string_view grounded_text, bool grounded_is_object,
-               bool support_valid, bool use_batch, SearchWorkspace* ws,
+               bool support_valid, SearchWorkspace* ws,
                search_internal::EntityAccumulator* acc) {
   acc->Begin();
+  ws->EnsureGatherCapacity(1);
+  const exec::ScoreBatch& batch = ws->batch;
   const bool has_text = !grounded_text.empty();
   const bool can_skip =
       index.HasMatchSupport() && (!has_text || support_valid);
@@ -88,83 +92,29 @@ void ExpandLeg(const CorpusView& index, RelationId rel, EntityId grounded,
       int object_col = ref.swapped ? ref.c1 : ref.c2;
       int grounded_col = grounded_is_object ? object_col : subject_col;
       int free_col = grounded_is_object ? subject_col : object_col;
-      const int num_rows = index.rows(ref.table);
-      if (!use_batch) {
-        for (int r = 0; r < num_rows; ++r) {
-          double row_score = 0.0;
-          EntityId cell = index.CellEntity(ref.table, r, grounded_col);
-          if (grounded != kNa && cell == grounded) {
-            row_score = 1.0;
-          } else if (has_text &&
-                     ws->CellMatches(
-                         index.cell(ref.table, r, grounded_col))) {
-            row_score = 0.6;
-          }
-          if (row_score <= 0.0) continue;
-          EntityId answer = index.CellEntity(ref.table, r, free_col);
-          if (answer != kNa) acc->Add(answer) += row_score;
-        }
-        continue;
-      }
-      // Batch path: the same per-pair conditions the run-level skip
-      // tested, now at pair granularity — a pair whose grounded column
-      // has neither the grounded entity annotated nor (provable) text
-      // support emits no Add for any row, so skipping it is exact.
+      // The same per-pair conditions the run-level skip tested, now at
+      // pair granularity — a pair whose grounded column has neither the
+      // grounded entity annotated nor (provable) text support emits no
+      // Add for any row, so the scorer skips it exactly.
       const bool has_entity =
           grounded != kNa &&
           grounded_runs.CountAtCol(table, grounded_col) > 0;
-      const bool text_possible =
+      const bool has_support =
           has_text &&
           (!can_skip || ws->ColumnHasMatchSupport(table, grounded_col));
-      if (!has_entity && !text_possible) continue;
-      exec::ScoreBatch& batch = ws->batch;
-      ws->EnsureGatherCapacity(1);
-      for (int rb = 0; rb < num_rows;
-           rb += static_cast<int>(exec::kBatchSize)) {
-        const int n =
-            std::min(static_cast<int>(exec::kBatchSize), num_rows - rb);
-        index.GatherColumn(ref.table, grounded_col, rb, n,
-                           has_entity ? batch.entity.data() : nullptr,
-                           text_possible ? batch.text.data() : nullptr);
-        uint32_t* tids = batch.active.mutable_data();
-        uint32_t m = 0;
-        if (has_entity && text_possible) {
-          for (int i = 0; i < n; ++i) {
-            double rs = 0.0;
-            if (batch.entity[i] == grounded) {
-              rs = 1.0;
-            } else if (ws->CellMatches(batch.text[i])) {
-              rs = 0.6;
+      search_internal::ScoreColumnChunks(
+          ws, index, ref.table, grounded_col, grounded, has_entity,
+          has_support, /*hit=*/1.0, /*fallback=*/0.6, [&](int rb, int n) {
+            // Bindings need entities only — the free column's text is
+            // never read, so the cell lane is skipped entirely.
+            index.GatherColumn(ref.table, free_col, rb, n,
+                               ws->gather_entities.data(), nullptr);
+            const uint32_t m = batch.active.size();
+            for (uint32_t j = 0; j < m; ++j) {
+              EntityId answer = ws->gather_entities[batch.active[j]];
+              if (answer != kNa) acc->Add(answer) += batch.score[j];
             }
-            tids[m] = static_cast<uint32_t>(i);
-            batch.score[m] = rs;
-            m += static_cast<uint32_t>(rs > 0.0);
-          }
-        } else if (has_entity) {
-          for (int i = 0; i < n; ++i) {
-            tids[m] = static_cast<uint32_t>(i);
-            batch.score[m] = 1.0;
-            m += static_cast<uint32_t>(batch.entity[i] == grounded);
-          }
-        } else {
-          for (int i = 0; i < n; ++i) {
-            tids[m] = static_cast<uint32_t>(i);
-            batch.score[m] = 0.6;
-            m += static_cast<uint32_t>(ws->CellMatches(batch.text[i]));
-          }
-        }
-        batch.active.SetSize(m);
-        if (batch.active.empty()) continue;
-        // Bindings need entities only — the free column's text is
-        // never read, so the cell lane is skipped entirely.
-        index.GatherColumn(ref.table, free_col, rb, n,
-                           ws->gather_entities.data(), nullptr);
-        for (uint32_t j = 0; j < m; ++j) {
-          const uint32_t i = batch.active[j];
-          EntityId answer = ws->gather_entities[i];
-          if (answer != kNa) acc->Add(answer) += batch.score[j];
-        }
-      }
+          });
     }
   }
 }
@@ -197,8 +147,8 @@ void JoinSearch(const CorpusView& index, const JoinQuery& query,
   // and the expansion loop is the scoring scan.
   obs::TraceSpan plan_span("search.plan");
   ExpandLeg(index, query.r2, query.e3, ws->norm_scratch,
-            /*grounded_is_object=*/query.e2_is_subject, support_valid,
-            topk.batch, ws, &ws->leg_acc);
+            /*grounded_is_object=*/query.e2_is_subject, support_valid, ws,
+            &ws->leg_acc);
   ws->leg_acc.ExtractRanked(std::max(0, query.max_join_entities),
                             &ws->binding_list);
   plan_span.End();
@@ -213,7 +163,7 @@ void JoinSearch(const CorpusView& index, const JoinQuery& query,
     for (const auto& [e2, e2_score] : ws->binding_list) {
       ExpandLeg(index, query.r1, e2, /*grounded_text=*/{},
                 /*grounded_is_object=*/query.e1_is_subject, support_valid,
-                topk.batch, ws, &ws->leg_acc);
+                ws, &ws->leg_acc);
       const double binding_score = e2_score;
       ws->leg_acc.ForEach([&](EntityId e1, double evidence) {
         // Multiplicative chaining: weak join bindings contribute less.

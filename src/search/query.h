@@ -36,9 +36,11 @@ struct SearchResult {
 
 struct JoinQuery;  // join_search.h
 
-/// How much of the ranking a caller wants. Every engine accepts one:
-///  - k <= 0: the full exact ranking (byte-identical to the retained
-///    reference engines — same answers, same doubles, same order).
+/// How much of the ranking a caller wants. Every engine accepts one and
+/// answers it with one scan: the row-chunk scorer in select_kernel.h,
+/// checked against the reference engines in tests/reference_search.h.
+///  - k <= 0: the full exact ranking (byte-identical to the reference
+///    engines — same answers, same doubles, same order).
 ///  - k > 0, prune = false: the exact full ranking truncated to its
 ///    first k entries (still score-exact).
 ///  - k > 0, prune = true: the same top-k *prefix* (same answers in the
@@ -52,15 +54,10 @@ struct JoinQuery;  // join_search.h
 ///    only (it can be empty in the pathological case where the entity's
 ///    every scanned cell is blank; the ranking itself is unaffected,
 ///    since ties between distinct entities break on id before text).
+///    The join engine has no table bounds: it ranks fully and truncates.
 struct TopKOptions {
   int k = 0;
   bool prune = true;
-  /// Route scoring through the vectorized batch kernel (columnar bound
-  /// screens over selection vectors + gathered-lane scoring sweeps).
-  /// Bit-identical to the scalar path — same answers, same doubles,
-  /// same order — which is retained as the equivalence reference and
-  /// asserted against in search_equivalence_test / exec_batch_test.
-  bool batch = true;
 };
 
 /// Validates catalog ids carried by a query against `catalog`: kNa means

@@ -163,60 +163,109 @@ inline void FillRelationVerdicts(SearchWorkspace* ws,
   }
 }
 
-/// The batch scorer's shared (b-column × row chunks × a-columns)
-/// sweep for the col_pool engines (type, baseline). Per b-column it
-/// consults the verdict lanes (skipping proven no-op columns and
-/// unneeded gathers), gathers the E2-side lanes one chunk at a time,
-/// lets `score_chunk(batch, n, has_entity, has_support)` build the
-/// surviving-row selection vector (batch->active ascending, parallel
-/// row scores in batch->score), then gathers the answer-side lanes
-/// once per chunk and emits `emit(k, i, rs)` in the scalar
-/// path's exact (b asc, row asc, a asc) order — so every Add call, and
-/// with it every accumulated double and display string, is
-/// bit-identical to the scalar reference.
-template <typename ScoreChunkFn, typename EmitFn>
-void ScoreTableBatched(SearchWorkspace* ws, const CorpusView& index,
-                       const PlannedTable& p, bool need_answer_entities,
-                       ScoreChunkFn&& score_chunk, EmitFn&& emit) {
+/// Scores one E2-side column of `table` kBatchSize rows at a time — the
+/// row-chunk scorer every engine's scan runs on. Per chunk it gathers
+/// only the lanes the column's verdicts need, then compacts the rows
+/// that score into the selection vector (batch->active ascending,
+/// parallel row scores in batch->score): a cell annotated with `e2`
+/// scores `hit`, otherwise a text match against the workspace target
+/// scores `fallback`. `on_chunk(rb, n)` runs only for chunks with
+/// survivors, so their answer-side gathers are lazy. A column with
+/// neither verdict is a proven no-op and is skipped outright. The memo
+/// is probed for exactly the cells the reference engines probe, and an
+/// entity hit short-circuits it.
+///
+/// One compaction loop per verdict pair, not one loop testing both
+/// verdicts per row; src/search/README.md records the merged loop's
+/// measurements.
+template <typename OnChunkFn>
+void ScoreColumnChunks(SearchWorkspace* ws, const CorpusView& index,
+                       int32_t table, int32_t col, EntityId e2,
+                       bool has_entity, bool has_support, double hit,
+                       double fallback, OnChunkFn&& on_chunk) {
+  if (!has_entity && !has_support) return;
   exec::ScoreBatch& batch = ws->batch;
-  const int table = p.table;
   const int num_rows = index.rows(table);
-  const uint32_t a_count = p.a_end - p.a_begin;
-  if (a_count == 0 || num_rows == 0) return;
-  ws->EnsureGatherCapacity(a_count);
-  for (uint32_t bi = p.b_begin; bi < p.b_end; ++bi) {
-    const bool has_entity = ws->lane_has_entity.Test(bi);
-    const bool has_support = ws->lane_has_support.Test(bi);
-    if (!has_entity && !has_support) continue;  // proven no-op column
-    const int c2 = ws->col_pool[bi];
-    for (int rb = 0; rb < num_rows;
-         rb += static_cast<int>(exec::kBatchSize)) {
-      const int n =
-          std::min(static_cast<int>(exec::kBatchSize), num_rows - rb);
-      index.GatherColumn(table, c2, rb, n,
-                         has_entity ? batch.entity.data() : nullptr,
-                         has_support ? batch.text.data() : nullptr);
-      score_chunk(&batch, n, has_entity, has_support);
-      if (batch.active.empty()) continue;
-      // Lazy answer-side gather: only chunks with survivors pay it.
-      for (uint32_t k = 0; k < a_count; ++k) {
-        index.GatherColumn(
-            table, ws->col_pool[p.a_begin + k], rb, n,
-            need_answer_entities
-                ? ws->gather_entities.data() + k * exec::kBatchSize
-                : nullptr,
-            ws->gather_cells.data() + k * exec::kBatchSize);
-      }
-      const uint32_t m = batch.active.size();
-      for (uint32_t j = 0; j < m; ++j) {
-        const uint32_t i = batch.active[j];
-        const double rs = batch.score[j];
-        for (uint32_t k = 0; k < a_count; ++k) {
-          if (ws->col_pool[p.a_begin + k] == c2) continue;
-          emit(k, i, rs);
+  for (int rb = 0; rb < num_rows; rb += static_cast<int>(exec::kBatchSize)) {
+    const int n = std::min(static_cast<int>(exec::kBatchSize), num_rows - rb);
+    index.GatherColumn(table, col, rb, n,
+                       has_entity ? batch.entity.data() : nullptr,
+                       has_support ? batch.text.data() : nullptr);
+    uint32_t* tids = batch.active.mutable_data();
+    uint32_t m = 0;
+    if (has_entity && has_support) {
+      for (int i = 0; i < n; ++i) {
+        double rs = 0.0;
+        if (batch.entity[i] == e2) {
+          rs = hit;
+        } else if (ws->CellMatches(batch.text[i])) {
+          rs = fallback;
         }
+        tids[m] = static_cast<uint32_t>(i);
+        batch.score[m] = rs;
+        m += static_cast<uint32_t>(rs > 0.0);
+      }
+    } else if (has_entity) {
+      // No column support: the memo is provably false on every cell,
+      // so only the annotated comparison can fire.
+      for (int i = 0; i < n; ++i) {
+        tids[m] = static_cast<uint32_t>(i);
+        batch.score[m] = hit;
+        m += static_cast<uint32_t>(batch.entity[i] == e2);
+      }
+    } else {
+      // No E2 annotation in the column: only the text fallback.
+      for (int i = 0; i < n; ++i) {
+        tids[m] = static_cast<uint32_t>(i);
+        batch.score[m] = fallback;
+        m += static_cast<uint32_t>(ws->CellMatches(batch.text[i]));
       }
     }
+    batch.active.SetSize(m);
+    if (m > 0) on_chunk(rb, n);
+  }
+}
+
+/// The (b-column × row chunks × a-columns) sweep of the col_pool
+/// engines (type, baseline): each b-column goes through
+/// ScoreColumnChunks under its verdict lanes, and each surviving chunk
+/// gathers the answer-side lanes once and emits `emit(k, i, rs)` in the
+/// reference engines' exact (b asc, row asc, a asc) order — so every
+/// Add call, and with it every accumulated double and display string,
+/// is bit-identical to tests/reference_search.h.
+template <typename EmitFn>
+void ScoreTableBatched(SearchWorkspace* ws, const CorpusView& index,
+                       const PlannedTable& p, EntityId e2, double hit,
+                       double fallback, bool need_answer_entities,
+                       EmitFn&& emit) {
+  const exec::ScoreBatch& batch = ws->batch;
+  const int table = p.table;
+  const uint32_t a_count = p.a_end - p.a_begin;
+  if (a_count == 0) return;
+  ws->EnsureGatherCapacity(a_count);
+  for (uint32_t bi = p.b_begin; bi < p.b_end; ++bi) {
+    const int c2 = ws->col_pool[bi];
+    ScoreColumnChunks(
+        ws, index, table, c2, e2, ws->lane_has_entity.Test(bi),
+        ws->lane_has_support.Test(bi), hit, fallback, [&](int rb, int n) {
+          for (uint32_t k = 0; k < a_count; ++k) {
+            index.GatherColumn(
+                table, ws->col_pool[p.a_begin + k], rb, n,
+                need_answer_entities
+                    ? ws->gather_entities.data() + k * exec::kBatchSize
+                    : nullptr,
+                ws->gather_cells.data() + k * exec::kBatchSize);
+          }
+          const uint32_t m = batch.active.size();
+          for (uint32_t j = 0; j < m; ++j) {
+            const uint32_t i = batch.active[j];
+            const double rs = batch.score[j];
+            for (uint32_t k = 0; k < a_count; ++k) {
+              if (ws->col_pool[p.a_begin + k] == c2) continue;
+              emit(k, i, rs);
+            }
+          }
+        });
   }
 }
 

@@ -31,8 +31,7 @@ void TypeRelationSearch(const CorpusView& index, const SelectQuery& query,
   const bool prune = topk.k > 0 && topk.prune;
   // See type_search.cc: entity postings bound the annotated E2 hits,
   // the cell-token support set bounds where text fallback can fire.
-  const bool support_valid =
-      (prune || topk.batch) && ws->BuildMatchSupport(index);
+  const bool support_valid = ws->BuildMatchSupport(index);
   const bool refine = prune && support_valid;
   const bool e2_present = query.e2 != kNa;
   const std::span<const CellRef> e2_postings =
@@ -94,110 +93,45 @@ void TypeRelationSearch(const CorpusView& index, const SelectQuery& query,
                                        refined_bound);
   };
 
-  auto scalar_score = [&](const PlannedTable& p) {
-    for (uint32_t ri = p.a_begin; ri < p.a_end; ++ri) {
-      const RelationRef& ref = postings[ri];
-      // Subject column holds E1 (answers); object column holds E2.
-      int subject_col = ref.swapped ? ref.c2 : ref.c1;
-      int object_col = ref.swapped ? ref.c1 : ref.c2;
-      const int num_rows = index.rows(ref.table);
-      for (int r = 0; r < num_rows; ++r) {
-        double row_score = 0.0;
-        EntityId obj = index.CellEntity(ref.table, r, object_col);
-        if (query.e2 != kNa && obj == query.e2) {
-          row_score = 1.2;  // Relation + entity annotated: strongest.
-        } else if (ws->CellMatches(
-                       index.cell(ref.table, r, object_col))) {
-          row_score = 0.7;
-        }
-        if (row_score <= 0.0) continue;
-        EntityId answer = index.CellEntity(ref.table, r, subject_col);
-        if (answer != kNa) {
-          ws->AddEntity(ref.table, answer,
-                        index.cell(ref.table, r, subject_col), row_score);
-        } else {
-          ws->AddText(ref.table, index.cell(ref.table, r, subject_col),
-                      row_score * 0.8);
-        }
-      }
-    }
-  };
-
   // Lazy verdict counter: scored tables arrive in ascending order, so
   // one forward counter serves every FillRelationVerdicts call.
   PostingRunCounter<CellRef> verdict_runs{e2_postings, e2_blocks};
-  auto batch_score = [&](const PlannedTable& p) {
+  const exec::ScoreBatch& batch = ws->batch;
+  auto score_table = [&](const PlannedTable& p) {
     search_internal::FillRelationVerdicts(ws, p, postings, &verdict_runs,
                                           e2_present, support_valid);
-    exec::ScoreBatch& batch = ws->batch;
-    ws->EnsureGatherCapacity(1);
     for (uint32_t ri = p.a_begin; ri < p.a_end; ++ri) {
-      const bool has_entity = ws->lane_has_entity.Test(ri);
-      const bool has_support = ws->lane_has_support.Test(ri);
-      if (!has_entity && !has_support) continue;  // proven no-op pair
       const RelationRef& ref = postings[ri];
-      int subject_col = ref.swapped ? ref.c2 : ref.c1;
-      int object_col = ref.swapped ? ref.c1 : ref.c2;
-      const int num_rows = index.rows(ref.table);
-      for (int rb = 0; rb < num_rows;
-           rb += static_cast<int>(exec::kBatchSize)) {
-        const int n =
-            std::min(static_cast<int>(exec::kBatchSize), num_rows - rb);
-        index.GatherColumn(ref.table, object_col, rb, n,
-                           has_entity ? batch.entity.data() : nullptr,
-                           has_support ? batch.text.data() : nullptr);
-        uint32_t* tids = batch.active.mutable_data();
-        uint32_t m = 0;
-        if (has_entity && has_support) {
-          for (int i = 0; i < n; ++i) {
-            double rs = 0.0;
-            if (batch.entity[i] == query.e2) {
-              rs = 1.2;  // Relation + entity annotated: strongest.
-            } else if (ws->CellMatches(batch.text[i])) {
-              rs = 0.7;
+      // Subject column holds E1 (answers); object column holds E2.
+      const int subject_col = ref.swapped ? ref.c2 : ref.c1;
+      const int object_col = ref.swapped ? ref.c1 : ref.c2;
+      // Relation + entity annotated is the strongest evidence (1.2);
+      // a text fallback in the object column scores 0.7.
+      search_internal::ScoreColumnChunks(
+          ws, index, ref.table, object_col, query.e2,
+          ws->lane_has_entity.Test(ri), ws->lane_has_support.Test(ri),
+          /*hit=*/1.2, /*fallback=*/0.7, [&](int rb, int n) {
+            index.GatherColumn(ref.table, subject_col, rb, n,
+                               ws->gather_entities.data(),
+                               ws->gather_cells.data());
+            const uint32_t m = batch.active.size();
+            for (uint32_t j = 0; j < m; ++j) {
+              const uint32_t i = batch.active[j];
+              const double rs = batch.score[j];
+              EntityId answer = ws->gather_entities[i];
+              if (answer != kNa) {
+                ws->AddEntity(ref.table, answer, ws->gather_cells[i], rs);
+              } else {
+                ws->AddText(ref.table, ws->gather_cells[i], rs * 0.8);
+              }
             }
-            tids[m] = static_cast<uint32_t>(i);
-            batch.score[m] = rs;
-            m += static_cast<uint32_t>(rs > 0.0);
-          }
-        } else if (has_entity) {
-          for (int i = 0; i < n; ++i) {
-            tids[m] = static_cast<uint32_t>(i);
-            batch.score[m] = 1.2;
-            m += static_cast<uint32_t>(batch.entity[i] == query.e2);
-          }
-        } else {
-          for (int i = 0; i < n; ++i) {
-            tids[m] = static_cast<uint32_t>(i);
-            batch.score[m] = 0.7;
-            m += static_cast<uint32_t>(ws->CellMatches(batch.text[i]));
-          }
-        }
-        batch.active.SetSize(m);
-        if (batch.active.empty()) continue;
-        index.GatherColumn(ref.table, subject_col, rb, n,
-                           ws->gather_entities.data(),
-                           ws->gather_cells.data());
-        for (uint32_t j = 0; j < m; ++j) {
-          const uint32_t i = batch.active[j];
-          const double rs = batch.score[j];
-          EntityId answer = ws->gather_entities[i];
-          if (answer != kNa) {
-            ws->AddEntity(ref.table, answer, ws->gather_cells[i], rs);
-          } else {
-            ws->AddText(ref.table, ws->gather_cells[i], rs * 0.8);
-          }
-        }
-      }
+          });
     }
   };
 
-  if (topk.batch) {
-    search_internal::PrepareVerdictLanes(ws, postings.size());
-    search_internal::RunPlannedTables(ws, topk, fill_bounds, batch_score);
-  } else {
-    search_internal::RunPlannedTables(ws, topk, fill_bounds, scalar_score);
-  }
+  search_internal::PrepareVerdictLanes(ws, postings.size());
+  ws->EnsureGatherCapacity(1);
+  search_internal::RunPlannedTables(ws, topk, fill_bounds, score_table);
   ws->EmitRanked(topk, out);
 }
 

@@ -32,11 +32,10 @@ void TypeSearch(const CorpusView& index, const SelectQuery& query,
   // Match-support refinement: with the cell-token index we know exactly
   // which tables can text-match E2 (CellMatchesText needs a shared
   // token), and the entity postings say how many cells are annotated
-  // with E2. A table with neither contributes zero evidence. The batch
-  // path builds the support set even on full-rank scans — its
-  // scoring-side verdicts eliminate proven-matchless columns there too.
-  const bool support_valid =
-      (prune || topk.batch) && ws->BuildMatchSupport(index);
+  // with E2. A table with neither contributes zero evidence. The support
+  // set is built on full-rank scans too: the scoring-side verdicts
+  // eliminate proven-matchless columns there as well.
+  const bool support_valid = ws->BuildMatchSupport(index);
   const bool refine = prune && support_valid;
   const bool e2_present = query.e2 != kNa;
   const std::span<const CellRef> e2_postings =
@@ -98,81 +97,17 @@ void TypeSearch(const CorpusView& index, const SelectQuery& query,
                                        refined_bound);
   };
 
-  auto scalar_score = [&](const PlannedTable& p) {
-    const int table = p.table;
-    const int num_rows = index.rows(table);
-    for (uint32_t bi = p.b_begin; bi < p.b_end; ++bi) {
-      const int c2 = ws->col_pool[bi];
-      for (int r = 0; r < num_rows; ++r) {
-        double row_score = 0.0;
-        EntityId cell_entity = index.CellEntity(table, r, c2);
-        if (query.e2 != kNa && cell_entity == query.e2) {
-          row_score = 1.0;  // Annotated hit.
-        } else if (ws->CellMatches(index.cell(table, r, c2))) {
-          row_score = 0.6;  // Text fallback.
-        }
-        if (row_score <= 0.0) continue;
-        for (uint32_t ai = p.a_begin; ai < p.a_end; ++ai) {
-          const int c1 = ws->col_pool[ai];
-          if (c1 == c2) continue;
-          EntityId answer = index.CellEntity(table, r, c1);
-          if (answer != kNa) {
-            ws->AddEntity(table, answer, index.cell(table, r, c1),
-                          row_score);
-          } else {
-            ws->AddText(table, index.cell(table, r, c1), row_score * 0.8);
-          }
-        }
-      }
-    }
-  };
-
   // Lazy verdict counter: scored tables arrive in ascending order, so
   // one forward counter serves every FillColumnVerdicts call.
   PostingRunCounter<CellRef> verdict_runs{e2_postings, e2_blocks};
-  auto batch_score = [&](const PlannedTable& p) {
+  auto score_table = [&](const PlannedTable& p) {
     search_internal::FillColumnVerdicts(ws, p, &verdict_runs, e2_present,
                                         support_valid);
     const int table = p.table;
-    // Row-chunk scoring pass: survivors keep the same row_score the
-    // scalar loop computes, and the memo is probed for exactly the
-    // same cells in the same order (an entity hit short-circuits it).
-    auto score_chunk = [&](exec::ScoreBatch* batch, int n, bool has_entity,
-                           bool has_support) {
-      uint32_t* tids = batch->active.mutable_data();
-      uint32_t m = 0;
-      if (has_entity && has_support) {
-        for (int i = 0; i < n; ++i) {
-          double rs = 0.0;
-          if (batch->entity[i] == query.e2) {
-            rs = 1.0;
-          } else if (ws->CellMatches(batch->text[i])) {
-            rs = 0.6;
-          }
-          tids[m] = static_cast<uint32_t>(i);
-          batch->score[m] = rs;
-          m += static_cast<uint32_t>(rs > 0.0);
-        }
-      } else if (has_entity) {
-        // No column support: the memo is provably false on every cell,
-        // so only the annotated comparison can fire.
-        for (int i = 0; i < n; ++i) {
-          tids[m] = static_cast<uint32_t>(i);
-          batch->score[m] = 1.0;
-          m += static_cast<uint32_t>(batch->entity[i] == query.e2);
-        }
-      } else {
-        // No E2 annotation in the column: only the text fallback.
-        for (int i = 0; i < n; ++i) {
-          tids[m] = static_cast<uint32_t>(i);
-          batch->score[m] = 0.6;
-          m += static_cast<uint32_t>(ws->CellMatches(batch->text[i]));
-        }
-      }
-      batch->active.SetSize(m);
-    };
+    // Row score: 1.0 for an annotated hit, 0.6 for a text fallback.
     search_internal::ScoreTableBatched(
-        ws, index, p, /*need_answer_entities=*/true, score_chunk,
+        ws, index, p, query.e2, /*hit=*/1.0, /*fallback=*/0.6,
+        /*need_answer_entities=*/true,
         [&](uint32_t k, uint32_t i, double rs) {
           const size_t lane = k * exec::kBatchSize + i;
           EntityId answer = ws->gather_entities[lane];
@@ -184,12 +119,8 @@ void TypeSearch(const CorpusView& index, const SelectQuery& query,
         });
   };
 
-  if (topk.batch) {
-    search_internal::PrepareVerdictLanes(ws, ws->col_pool.size());
-    search_internal::RunPlannedTables(ws, topk, fill_bounds, batch_score);
-  } else {
-    search_internal::RunPlannedTables(ws, topk, fill_bounds, scalar_score);
-  }
+  search_internal::PrepareVerdictLanes(ws, ws->col_pool.size());
+  search_internal::RunPlannedTables(ws, topk, fill_bounds, score_table);
   ws->EmitRanked(topk, out);
 }
 

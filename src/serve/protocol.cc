@@ -1,5 +1,6 @@
 #include "serve/protocol.h"
 
+#include <cmath>
 #include <limits>
 #include <utility>
 
@@ -148,8 +149,11 @@ Result<WireRequest> ParseWireRequest(std::string_view line) {
       break;
     case WireRequest::Op::kTimeseries:
       request.window_s = json.GetNumber("window_s", 60.0);
-      if (request.window_s <= 0.0) {
-        return Status::InvalidArgument("\"window_s\" must be > 0");
+      // A number literal too large for a double (1e999) parses as +inf,
+      // which the response could not echo as JSON.
+      if (!std::isfinite(request.window_s) || request.window_s <= 0.0) {
+        return Status::InvalidArgument(
+            "\"window_s\" must be finite and > 0");
       }
       break;
     case WireRequest::Op::kStats:

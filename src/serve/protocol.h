@@ -79,8 +79,8 @@ struct WireRequest {
   /// convergence curve. Explained requests bypass the result cache
   /// lookup so the decision log always reflects a real engine run.
   bool want_explain = false;
-  /// Wire "window_s" on {"op":"timeseries"}: rollup window in seconds
-  /// (clamped to the store's retention). Default 60.
+  /// Wire "window_s" on {"op":"timeseries"}: rollup window in seconds,
+  /// finite and > 0 (clamped to the store's retention). Default 60.
   double window_s = 60.0;
 };
 

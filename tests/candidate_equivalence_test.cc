@@ -6,7 +6,8 @@
 // LemmaIndexView backends, with or without a reused workspace, across
 // reruns, on a small test world and on the paper-default world's Fig. 9
 // corpus, plus a crafted catalog where a lemma repeats a wide token.
-// Also asserts the similarity scratch changes no annotation byte.
+// Also asserts FeatureComputer's scratch-backed f1/f2 equal the direct
+// similarity calls of tests/reference_features.h bit for bit.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -16,7 +17,9 @@
 #include "annotate/annotator.h"
 #include "catalog/catalog_builder.h"
 #include "index/candidates.h"
+#include "model/features.h"
 #include "reference_candidates.h"
+#include "reference_features.h"
 #include "storage/snapshot.h"
 #include "storage/snapshot_writer.h"
 #include "synth/corpus_generator.h"
@@ -28,6 +31,8 @@ namespace {
 
 using storage::Snapshot;
 using storage::SnapshotBuilder;
+using testing_util::ReferenceF1;
+using testing_util::ReferenceF2;
 using testing_util::ReferenceGenerateCandidates;
 using testing_util::SharedIndex;
 using testing_util::SharedWorld;
@@ -243,19 +248,44 @@ TEST_F(CandidateEquivalenceTest, WorkspaceReuseAndRerunsAreStable) {
   }
 }
 
-TEST_F(CandidateEquivalenceTest, SimilarityScratchKeepsAnnotationsByteIdentical) {
+TEST_F(CandidateEquivalenceTest, SimilarityScratchF1F2MatchReferenceBitwise) {
+  // One computer threaded through every table, so the scratch's prepared
+  // strings and Jaro-Winkler memo carry over as they do in annotation.
   const World& world = SharedWorld();
-  AnnotatorOptions with_scratch;
-  AnnotatorOptions without_scratch;
-  without_scratch.features.use_similarity_scratch = false;
-  TableAnnotator scratch_annotator(&world.catalog, &SharedIndex(),
-                                   with_scratch);
-  TableAnnotator plain_annotator(&world.catalog, &SharedIndex(),
-                                 without_scratch);
-  for (const Table& table : *tables_) {
-    ExpectSameAnnotation(scratch_annotator.Annotate(table),
-                         plain_annotator.Annotate(table));
+  ClosureCache closure(&world.catalog);
+  Vocabulary* vocab = SharedIndex().mutable_vocabulary();
+  FeatureComputer features(&closure, vocab);
+  CandidateOptions options;
+  size_t f1_pairs = 0, f2_pairs = 0;
+  for (size_t i = 0; i < tables_->size(); ++i) {
+    SCOPED_TRACE("table " + std::to_string(i));
+    const Table& table = (*tables_)[i];
+    TableCandidates candidates =
+        GenerateCandidates(table, SharedIndex(), &closure, options);
+    for (int r = 0; r < table.rows(); ++r) {
+      for (int c = 0; c < table.cols(); ++c) {
+        for (const LemmaHit& hit : candidates.cells[r][c]) {
+          // std::array equality compares every double exactly.
+          EXPECT_EQ(features.F1(table.cell(r, c), hit.id),
+                    ReferenceF1(world.catalog, vocab, table.cell(r, c),
+                                hit.id))
+              << "cell (" << r << "," << c << ") entity " << hit.id;
+          ++f1_pairs;
+        }
+      }
+    }
+    for (int c = 0; c < table.cols(); ++c) {
+      for (TypeId t : candidates.column_types[c]) {
+        EXPECT_EQ(features.F2(table.header(c), t),
+                  ReferenceF2(world.catalog, vocab, table.header(c), t))
+            << "column " << c << " type " << t;
+        ++f2_pairs;
+      }
+    }
   }
+  // Non-vacuity: the tables must exercise many label candidates.
+  EXPECT_GT(f1_pairs, 100u);
+  EXPECT_GT(f2_pairs, 100u);
 }
 
 TEST_F(CandidateEquivalenceTest, SnapshotAnnotationsMatchInMemory) {

@@ -308,13 +308,18 @@ TEST_F(SearchEquivalenceTest, JoinExplainCountsRelationRuns) {
   SearchWorkspace ws;
   ws.EnableExplain(true);
   std::vector<SearchResult> got;
+  // "Actors in movies directed by D": acted_in(movie, actor) and
+  // directed(movie, director), so e1 is the object of R1 and the join
+  // variable the subject of R2.
+  const EntityId director =
+      world.true_relations[world.directed].tuples[0].second;
   JoinQuery jq;
   jq.r1 = world.acted_in;
-  jq.e1_is_subject = true;
+  jq.e1_is_subject = false;
   jq.r2 = world.directed;
-  jq.e2_is_subject = false;
-  jq.e3 = 5;
-  jq.e3_text = std::string(world.catalog.EntityName(5));
+  jq.e2_is_subject = true;
+  jq.e3 = director;
+  jq.e3_text = std::string(world.catalog.EntityName(director));
   JoinSearch(*mem_corpus_, jq, TopKOptions{3, true}, &ws, &got);
   ASSERT_EQ(ws.decision_log.size(),
             static_cast<size_t>(ws.stats().tables_planned));
@@ -328,6 +333,10 @@ TEST_F(SearchEquivalenceTest, JoinExplainCountsRelationRuns) {
     if (d.verdict == Verdict::kScored) ++scored;
   }
   EXPECT_EQ(scored, ws.stats().tables_scored);
+  // Non-vacuity: the query scores some runs and proves others matchless.
+  EXPECT_GT(scored, 0);
+  EXPECT_LT(scored, ws.stats().tables_planned);
+  EXPECT_FALSE(got.empty());
   EXPECT_FALSE(ws.decision_bounds_valid);
 }
 
@@ -336,23 +345,31 @@ TEST_F(SearchEquivalenceTest, JoinMatchesReferenceOnBothBackends) {
   SearchWorkspace ws;
   std::vector<SearchResult> got;
   const CorpusView& snap_view = *snap_->corpus();
+  // "Actors in movies directed by D" (see JoinExplainCountsRelationRuns)
+  // for four evenly strided directors, each grounded, text-grounded, and
+  // text-grounded with binding truncation.
+  const auto& directed = world.true_relations[world.directed].tuples;
   std::vector<JoinQuery> queries;
-  for (EntityId e = 5; e < world.catalog.num_entities(); e += 257) {
+  for (size_t j = 0; j < 4; ++j) {
+    const EntityId director = directed[j * directed.size() / 4].second;
     JoinQuery jq;
     jq.r1 = world.acted_in;
-    jq.e1_is_subject = true;
+    jq.e1_is_subject = false;
     jq.r2 = world.directed;
-    jq.e2_is_subject = false;
-    jq.e3 = e;
-    jq.e3_text = std::string(world.catalog.EntityName(e));
+    jq.e2_is_subject = true;
+    jq.e3 = director;
+    jq.e3_text = std::string(world.catalog.EntityName(director));
     queries.push_back(jq);
     jq.e3 = kNa;  // Text-fallback grounding.
     queries.push_back(jq);
     jq.max_join_entities = 2;  // Exercise binding truncation.
     queries.push_back(jq);
   }
+  int grounded_nonempty = 0, text_nonempty = 0;
   for (const JoinQuery& jq : queries) {
     std::vector<SearchResult> want = ReferenceJoinSearch(*mem_corpus_, jq);
+    if (!want.empty() && jq.e3 != kNa) ++grounded_nonempty;
+    if (!want.empty() && jq.e3 == kNa) ++text_nonempty;
     JoinSearch(*mem_corpus_, jq, TopKOptions{}, &ws, &got);
     ExpectExact(got, want, "join [mem]");
     JoinSearch(snap_view, jq, TopKOptions{}, &ws, &got);
@@ -360,6 +377,9 @@ TEST_F(SearchEquivalenceTest, JoinMatchesReferenceOnBothBackends) {
     JoinSearch(*mem_corpus_, jq, TopKOptions{3, true}, &ws, &got);
     ExpectSamePrefix(got, want, 3, "join k=3");
   }
+  // Non-vacuity: both grounding paths must produce real rankings.
+  EXPECT_GT(grounded_nonempty, 0);
+  EXPECT_GT(text_nonempty, 0);
 }
 
 TEST_F(SearchEquivalenceTest, MemoMatchesCellMatchesText) {

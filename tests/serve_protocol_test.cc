@@ -574,11 +574,16 @@ TEST(WireRequestTest, ParsesTimeseriesAndDebugOps) {
   ASSERT_TRUE(windowed.ok());
   EXPECT_DOUBLE_EQ(windowed->window_s, 12.5);
 
-  // A non-positive window can never cover a tick: rejected up front.
-  EXPECT_FALSE(
-      ParseWireRequest(R"({"op":"timeseries","window_s":0})").ok());
-  EXPECT_FALSE(
-      ParseWireRequest(R"({"op":"timeseries","window_s":-5})").ok());
+  // A non-positive window can never cover a tick, and 1e999 parses as
+  // +inf, which the response could not echo as JSON: rejected up front.
+  for (const char* line : {R"({"op":"timeseries","window_s":0})",
+                           R"({"op":"timeseries","window_s":-5})",
+                           R"({"op":"timeseries","window_s":1e999})"}) {
+    Result<WireRequest> rejected = ParseWireRequest(line);
+    ASSERT_FALSE(rejected.ok()) << line;
+    EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument)
+        << line;
+  }
 
   Result<WireRequest> debug = ParseWireRequest(R"({"op":"debug"})");
   ASSERT_TRUE(debug.ok());

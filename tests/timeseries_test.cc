@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -101,11 +102,16 @@ TEST(TimeSeriesStoreTest, RingWraparoundKeepsTrailingWindow) {
     store.Tick({CounterDump("c", t)});
   }
   EXPECT_EQ(store.ticks(), 10);
-  SeriesRollup r;
-  ASSERT_TRUE(store.QueryOne("c", 1000.0, &r));
-  EXPECT_EQ(r.samples, 4);  // clamped to retention
-  EXPECT_EQ(r.delta, 4);
-  EXPECT_EQ(r.last, 10);
+  // Clamped to retention, also when the window's tick count does not
+  // fit an int.
+  for (double window :
+       {1000.0, 3e9, std::numeric_limits<double>::infinity()}) {
+    SeriesRollup r;
+    ASSERT_TRUE(store.QueryOne("c", window, &r)) << window;
+    EXPECT_EQ(r.samples, 4) << window;
+    EXPECT_EQ(r.delta, 4) << window;
+    EXPECT_EQ(r.last, 10) << window;
+  }
 }
 
 TEST(TimeSeriesStoreTest, GaugeRollup) {

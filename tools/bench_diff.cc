@@ -62,7 +62,6 @@ const std::vector<BenchSpec>& Specs() {
         {"type_relation.speedup_top10_vs_reference",
          Direction::kHigherBetter},
         {"join.speedup", Direction::kHigherBetter},
-        {"batch_kernel.geomean_full_speedup", Direction::kHigherBetter},
         {"steady_state_allocations_per_query", Direction::kExactZero},
         {"metrics_overhead_fraction", Direction::kLowerBetter}}},
       {"candidates",
