@@ -548,7 +548,7 @@ int main(int argc, char** argv) {
   WEBTAB_CHECK(explain_overhead_raw >= -0.05)
       << "overhead pairs diverged: raw explain overhead "
       << explain_overhead_raw * 100.0 << "% < -5% is beyond noise";
-  // The block-max bounds must make the top-k prune actually fire: some
+  // The match-support bounds must make the top-k prune actually fire: some
   // queries stop early, and across the workload each select engine
   // scores under 20% of the tables its plan admits (the rest are
   // eliminated by zero bounds, the suffix-bound break, or the gap

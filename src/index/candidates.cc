@@ -2,19 +2,10 @@
 
 #include <algorithm>
 #include <functional>
-#include <unordered_map>
 
 #include "obs/metrics.h"
 
 namespace webtab {
-
-namespace {
-
-/// Dense distinct-pair multiplicity counting is quadratic in distinct
-/// cells; past this bound fall back to a hash map (huge tables only).
-constexpr int64_t kDensePairLimit = int64_t{1} << 20;
-
-}  // namespace
 
 TableCandidates GenerateCandidates(const Table& table,
                                    const LemmaIndexView& index,
@@ -149,8 +140,6 @@ TableCandidates GenerateCandidates(const Table& table,
       const CandidateWorkspace::ColumnDistincts& col2 = ws->columns[c2];
       if (col2.num_distinct == 0) continue;
       const int nd2 = col2.num_distinct;
-      const int64_t cells =
-          static_cast<int64_t>(col1.num_distinct) * nd2;
 
       if (++ws->rel_epoch == 0) {
         std::fill(ws->rel_stamp.begin(), ws->rel_stamp.end(), 0u);
@@ -177,34 +166,24 @@ TableCandidates GenerateCandidates(const Table& table,
           }
         }
       };
-      if (cells <= kDensePairLimit) {
-        // The count matrix stays all-zero between pairs (entries are
-        // reset as they are consumed below), so growing it is the only
-        // initialization and each pair costs O(rows + distinct pairs).
-        if (static_cast<int64_t>(ws->pair_count.size()) < cells) {
-          ws->pair_count.resize(cells, 0);
+      // Distinct row-pairs are runs of equal keys in the sorted row
+      // keys; each run votes once with its length as multiplicity.
+      ws->pair_keys.clear();
+      for (int r = 0; r < table.rows(); ++r) {
+        ws->pair_keys.push_back(
+            static_cast<int64_t>(col1.row_distinct[r]) * nd2 +
+            col2.row_distinct[r]);
+      }
+      std::sort(ws->pair_keys.begin(), ws->pair_keys.end());
+      for (size_t begin = 0; begin < ws->pair_keys.size();) {
+        const int64_t key = ws->pair_keys[begin];
+        size_t end = begin + 1;
+        while (end < ws->pair_keys.size() && ws->pair_keys[end] == key) {
+          ++end;
         }
-        ws->pair_touched.clear();
-        for (int r = 0; r < table.rows(); ++r) {
-          const int32_t key =
-              col1.row_distinct[r] * nd2 + col2.row_distinct[r];
-          if (ws->pair_count[key]++ == 0) ws->pair_touched.push_back(key);
-        }
-        for (const int32_t key : ws->pair_touched) {
-          const int m = ws->pair_count[key];
-          ws->pair_count[key] = 0;
-          vote_pair(key / nd2, key % nd2, m);
-        }
-      } else {
-        std::unordered_map<int64_t, int> sparse_pairs;
-        for (int r = 0; r < table.rows(); ++r) {
-          ++sparse_pairs[static_cast<int64_t>(col1.row_distinct[r]) * nd2 +
-                         col2.row_distinct[r]];
-        }
-        for (const auto& [key, m] : sparse_pairs) {
-          vote_pair(static_cast<int>(key / nd2),
-                    static_cast<int>(key % nd2), m);
-        }
+        vote_pair(static_cast<int>(key / nd2), static_cast<int>(key % nd2),
+                  static_cast<int>(end - begin));
+        begin = end;
       }
 
       if (ws->rel_touched.empty()) continue;

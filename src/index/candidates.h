@@ -58,12 +58,10 @@ struct CandidateWorkspace {
   };
   std::vector<ColumnDistincts> columns;
 
-  /// Relation phase: pair-multiplicity matrix over distinct indices of
-  /// the two columns plus the touched keys, reused across pairs. The
-  /// matrix is kept all-zero between uses so only touched entries are
-  /// ever written or read.
-  std::vector<int> pair_count;
-  std::vector<int32_t> pair_touched;
+  /// Relation phase: one key per row, d1 * nd2 + d2 over the distinct
+  /// indices of the column pair, sorted so each distinct row-pair is a
+  /// run. Reused across pairs.
+  std::vector<int64_t> pair_keys;
 
   /// Type phase: dense per-TypeId support with epoch stamps instead of a
   /// per-cell std::set + per-column hash map. `type_sup_stamp` validates

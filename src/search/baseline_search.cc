@@ -131,12 +131,11 @@ void BaselineSearch(const CorpusView& index, const SelectQuery& /*query*/,
       return;
     }
     search_internal::FillRefinedBounds(ws, std::span<const CellRef>(),
-                                       PostingBlockSpan(), refined_bound);
+                                       refined_bound);
   };
 
   // Lazy verdicts (no entity lane in the baseline: support only).
-  PostingRunCounter<CellRef> verdict_runs{std::span<const CellRef>(),
-                                          PostingBlockSpan()};
+  PostingRunCounter<CellRef> verdict_runs{std::span<const CellRef>()};
   auto score_table = [&](const PlannedTable& p) {
     search_internal::FillColumnVerdicts(ws, p, &verdict_runs,
                                         /*e2_present=*/false,

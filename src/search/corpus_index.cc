@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/logging.h"
-#include "search/block_max.h"
 #include "search/posting_cursor.h"
 #include "text/tokenizer.h"
 
@@ -115,21 +114,6 @@ CorpusIndex::CorpusIndex(std::vector<AnnotatedTable> tables,
   check(relation_postings_, "relation");
   check(entity_postings_, "entity");
   check(cell_token_postings_, "cell token");
-
-  // Block-max summaries over every search-facing posting list, via the
-  // same helper the snapshot writer uses (block_max.h).
-  auto rows_of = [this](int32_t t) { return tables_[t].table.rows(); };
-  auto build_blocks = [&](const auto& postings_map, auto* blocks_map) {
-    for (const auto& [key, postings] : postings_map) {
-      search_internal::AppendPostingBlocks(
-          std::span(postings), rows_of, &(*blocks_map)[key]);
-    }
-  };
-  build_blocks(header_postings_, &header_blocks_);
-  build_blocks(context_postings_, &context_blocks_);
-  build_blocks(type_postings_, &type_blocks_);
-  build_blocks(relation_postings_, &relation_blocks_);
-  build_blocks(entity_postings_, &entity_blocks_);
 }
 
 std::span<const ColumnRef> CorpusIndex::HeaderPostings(
@@ -158,28 +142,6 @@ std::span<const CellRef> CorpusIndex::EntityPostings(EntityId e) const {
 std::span<const CellTokenRef> CorpusIndex::CellTokenPostings(
     std::string_view token) const {
   return FindOrEmpty(cell_token_postings_, token);
-}
-
-PostingBlockSpan CorpusIndex::HeaderPostingBlocks(
-    std::string_view token) const {
-  return FindOrEmpty(header_blocks_, token);
-}
-
-PostingBlockSpan CorpusIndex::ContextPostingBlocks(
-    std::string_view token) const {
-  return FindOrEmpty(context_blocks_, token);
-}
-
-PostingBlockSpan CorpusIndex::TypePostingBlocks(TypeId t) const {
-  return FindOrEmpty(type_blocks_, t);
-}
-
-PostingBlockSpan CorpusIndex::RelationPostingBlocks(RelationId b) const {
-  return FindOrEmpty(relation_blocks_, b);
-}
-
-PostingBlockSpan CorpusIndex::EntityPostingBlocks(EntityId e) const {
-  return FindOrEmpty(entity_blocks_, e);
 }
 
 }  // namespace webtab

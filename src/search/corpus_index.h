@@ -94,19 +94,10 @@ class CorpusIndex : public CorpusView {
   std::span<const RelationRef> RelationPostings(RelationId b) const override;
   std::span<const CellRef> EntityPostings(EntityId e) const override;
 
-  // Block-max index: the in-memory build always carries it, computed
-  // with the same shared helper (block_max.h) the snapshot writer uses,
-  // so both backends expose identical summaries for identical lists.
+  // Match-support index: the in-memory build always carries it.
   bool HasMatchSupport() const override { return true; }
   std::span<const CellTokenRef> CellTokenPostings(
       std::string_view token) const override;
-  PostingBlockSpan HeaderPostingBlocks(
-      std::string_view token) const override;
-  PostingBlockSpan ContextPostingBlocks(
-      std::string_view token) const override;
-  PostingBlockSpan TypePostingBlocks(TypeId t) const override;
-  PostingBlockSpan RelationPostingBlocks(RelationId b) const override;
-  PostingBlockSpan EntityPostingBlocks(EntityId e) const override;
 
   // --- Serialization access (snapshot writer): the raw postings maps. ---
   const TokenPostingsMap<ColumnRef>& header_postings_map() const {
@@ -144,13 +135,6 @@ class CorpusIndex : public CorpusView {
   // track where E2 text can actually match, with the min cell size
   // feeding the Jaccard feasibility test.
   TokenPostingsMap<CellTokenRef> cell_token_postings_;
-  // Block-max summaries, keyed in parallel with the postings maps.
-  TokenPostingsMap<PostingBlockMax> header_blocks_;
-  TokenPostingsMap<PostingBlockMax> context_blocks_;
-  std::unordered_map<TypeId, std::vector<PostingBlockMax>> type_blocks_;
-  std::unordered_map<RelationId, std::vector<PostingBlockMax>>
-      relation_blocks_;
-  std::unordered_map<EntityId, std::vector<PostingBlockMax>> entity_blocks_;
 };
 
 }  // namespace webtab

@@ -67,29 +67,6 @@ inline uint64_t CellTokenMask(std::string_view token) {
   return (1ull << (h & 63)) | (1ull << ((h >> 6) & 63));
 }
 
-/// Postings are chunked into fixed-size blocks of kPostingBlockSize
-/// elements (the last block of a list may be short).
-inline constexpr int kPostingBlockSize = 64;
-
-/// Per-block summary of one posting list — the block-max index (the
-/// WAND / Block-Max-WAND treatment adapted to table-at-a-time search).
-/// Declared bounds may overestimate (slack is sound) but never
-/// underestimate; both directions of the contract are validated by
-/// SnapshotCorpusView::DeepValidate for untrusted files.
-struct PostingBlockMax {
-  int32_t last_table = -1;  // table of the block's final posting
-  int32_t max_rows = 0;     // max rows(t) over tables in the block
-  int32_t max_run = 0;      // max per-table posting count in the block
-  int32_t max_bound = 0;    // max rows(t) * run(t): one table's largest
-                            // per-answer contribution (up to the
-                            // engine's constant weight)
-};
-static_assert(sizeof(PostingBlockMax) == 16, "blocks are mmap'd verbatim");
-
-/// One posting list's block summaries; empty() when the backend carries
-/// no block-max index (pre-minor-1 snapshots).
-using PostingBlockSpan = std::span<const PostingBlockMax>;
-
 /// Read-only access to an annotated table corpus and its postings (the
 /// paper indexes 25M tables with Lucene; same access paths here):
 ///  - header/context token postings for the string-only baseline,
@@ -167,20 +144,17 @@ class CorpusView {
   /// Cells annotated with entity `e`.
   virtual std::span<const CellRef> EntityPostings(EntityId e) const = 0;
 
-  // --- Block-max index (optional capability). ---
+  // --- Match-support index (optional capability). ---
   //
-  // Per-list block summaries (kPostingBlockSize postings per block) with
-  // upper bounds on what any table inside the block can contribute, plus
-  // a cell-token match-support index: for every token appearing in any
-  // cell, the (table, column) pairs whose column contains it. The select
-  // engines use match support to prove a candidate column contributes
-  // zero text evidence (CellMatchesText requires enough shared tokens)
-  // and drop it from their bounds exactly; the cursors use block
-  // last-tables to seek. Both default to "absent" so alternative
+  // A cell-token index: for every token appearing in any cell, the
+  // (table, column) pairs whose column contains it. The select engines
+  // use it to prove a candidate column contributes zero text evidence
+  // (CellMatchesText requires enough shared tokens) and drop it from
+  // their bounds exactly. It defaults to "absent" so alternative
   // CorpusView implementations keep working — engines then fall back to
   // the unrefined ascending scan.
 
-  /// True when CellTokenPostings is populated (block-max index built).
+  /// True when CellTokenPostings is populated.
   virtual bool HasMatchSupport() const { return false; }
   /// Columns with at least one cell containing `token`, sorted by
   /// (table, col), unique, each carrying the min distinct-token count
@@ -189,23 +163,6 @@ class CorpusView {
   /// elsewhere in the table must not keep the column alive.
   virtual std::span<const CellTokenRef> CellTokenPostings(
       std::string_view /*token*/) const {
-    return {};
-  }
-  virtual PostingBlockSpan HeaderPostingBlocks(
-      std::string_view /*token*/) const {
-    return {};
-  }
-  virtual PostingBlockSpan ContextPostingBlocks(
-      std::string_view /*token*/) const {
-    return {};
-  }
-  virtual PostingBlockSpan TypePostingBlocks(TypeId /*t*/) const {
-    return {};
-  }
-  virtual PostingBlockSpan RelationPostingBlocks(RelationId /*b*/) const {
-    return {};
-  }
-  virtual PostingBlockSpan EntityPostingBlocks(EntityId /*e*/) const {
     return {};
   }
 };

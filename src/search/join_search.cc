@@ -38,11 +38,9 @@ void ExpandLeg(const CorpusView& index, RelationId rel, EntityId grounded,
       index.HasMatchSupport() && (!has_text || support_valid);
   search_internal::PostingRunCounter<CellRef> grounded_runs(
       grounded != kNa ? index.EntityPostings(grounded)
-                      : std::span<const CellRef>(),
-      grounded != kNa ? index.EntityPostingBlocks(grounded)
-                      : PostingBlockSpan());
+                      : std::span<const CellRef>());
   search_internal::PostingCursor<RelationRef> cursor(
-      index.RelationPostings(rel), index.RelationPostingBlocks(rel));
+      index.RelationPostings(rel));
   const bool explain = ws->explain_enabled();
   while (!cursor.done()) {
     const int32_t table = cursor.table();

@@ -32,13 +32,6 @@ class PostingCursor {
   explicit PostingCursor(std::span<const Ref> postings)
       : postings_(postings) {}
 
-  /// Block-aware cursor: `blocks` is the list's block-max summary
-  /// (kPostingBlockSize postings per block). Long seeks first binary
-  /// search the block last-tables and land at a block start, so the
-  /// gallop only walks the final block instead of the whole gap.
-  PostingCursor(std::span<const Ref> postings, PostingBlockSpan blocks)
-      : postings_(postings), blocks_(blocks) {}
-
   bool done() const { return pos_ >= postings_.size(); }
   int32_t table() const { return PostingTable(postings_[pos_]); }
 
@@ -46,24 +39,6 @@ class PostingCursor {
   /// already there; past-the-end when no such posting exists.
   void SeekTable(int32_t target) {
     if (done() || PostingTable(postings_[pos_]) >= target) return;
-    if (!blocks_.empty()) {
-      const size_t cur_block = pos_ / kPostingBlockSize;
-      if (blocks_[cur_block].last_table < target) {
-        // First block whose last table reaches the target; everything
-        // before it is provably < target.
-        auto it = std::lower_bound(
-            blocks_.begin() + cur_block, blocks_.end(), target,
-            [](const PostingBlockMax& b, int32_t t) {
-              return b.last_table < t;
-            });
-        if (it == blocks_.end()) {
-          pos_ = postings_.size();
-          return;
-        }
-        pos_ = static_cast<size_t>(it - blocks_.begin()) *
-               kPostingBlockSize;
-      }
-    }
     // Gallop: double the step from the current position until the probe
     // reaches target, then binary-search the bracketed range.
     size_t lo = pos_, step = 1;
@@ -94,7 +69,6 @@ class PostingCursor {
 
  private:
   std::span<const Ref> postings_;
-  PostingBlockSpan blocks_;
   size_t pos_ = 0;
 };
 

@@ -278,9 +278,10 @@ bool TextMatchMemo::Matches(std::string_view cell) {
 }
 
 bool TextMatchMemo::Compute(std::string_view cell) {
-  // Bit-identical to engine_util.h's CellMatchesText(cell, target_):
-  // exact normalized match, else token-set Jaccard >= 0.5 — same
-  // normalization, same distinct-token counts, same double division.
+  // Bit-identical to tests/reference_search.h's CellMatchesText(cell,
+  // target_): exact normalized match, else token-set Jaccard >= 0.5 —
+  // same normalization, same distinct-token counts, same double
+  // division.
   NormalizeTextInto(cell, &norm_);
   if (norm_ == target_) return true;
   size_t n = TokenizeInto(norm_, &tokens_);

@@ -121,11 +121,11 @@ class EvidenceMap {
   std::vector<std::string> spare_strings_;  // recycled result texts
 };
 
-/// Memoizes the engines' shared E2 text predicate (engine_util.h's
-/// CellMatchesText: exact normalized match, else token-set Jaccard >=
-/// 0.5) against one target string per query. Distinct cell strings are
-/// evaluated once; repeats — the common case in entity columns — cost a
-/// hash probe. Results are bit-identical to CellMatchesText: same
+/// Memoizes the engines' shared E2 text predicate (CellMatchesText in
+/// tests/reference_search.h: exact normalized match, else token-set
+/// Jaccard >= 0.5) against one target string per query. Distinct cell
+/// strings are evaluated once; repeats — the common case in entity
+/// columns — cost a hash probe. Results are bit-identical to CellMatchesText: same
 /// normalization, same distinct-token counts, same double division.
 /// Keys are string_views into the corpus mapping (stable for the
 /// query's duration); stale entries die with the epoch stamp.

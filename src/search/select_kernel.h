@@ -49,14 +49,14 @@ inline std::pair<uint32_t, uint32_t> AppendUniqueCols(
 }
 
 /// Counts one posting list's entries at successive tables via a
-/// forward block-aware cursor — the engines' per-table n_e2 probe for
+/// forward galloping cursor — the engines' per-table n_e2 probe for
 /// the refined bounds. Tables must be asked in ascending order, which
 /// is exactly the order bound_of runs over the plan.
 template <typename Ref>
 class PostingRunCounter {
  public:
-  PostingRunCounter(std::span<const Ref> postings, PostingBlockSpan blocks)
-      : cursor_(postings, blocks) {}
+  explicit PostingRunCounter(std::span<const Ref> postings)
+      : cursor_(postings) {}
 
   int32_t CountAt(int32_t table) {
     return static_cast<int32_t>(Run(table).size());
@@ -103,8 +103,8 @@ class PostingRunCounter {
 template <typename RefinedFn>
 void FillRefinedBounds(SearchWorkspace* ws,
                        std::span<const CellRef> e2_postings,
-                       PostingBlockSpan e2_blocks, RefinedFn&& refined_of) {
-  PostingRunCounter<CellRef> e2_runs(e2_postings, e2_blocks);
+                       RefinedFn&& refined_of) {
+  PostingRunCounter<CellRef> e2_runs(e2_postings);
   for (PlannedTable& p : ws->plan) {
     const bool alive = ws->TableHasMatchSupport(p.table) ||
                        e2_runs.CountAt(p.table) > 0;
@@ -174,10 +174,6 @@ inline void FillRelationVerdicts(SearchWorkspace* ws,
 /// neither verdict is a proven no-op and is skipped outright. The memo
 /// is probed for exactly the cells the reference engines probe, and an
 /// entity hit short-circuits it.
-///
-/// One compaction loop per verdict pair, not one loop testing both
-/// verdicts per row; src/search/README.md records the merged loop's
-/// measurements.
 template <typename OnChunkFn>
 void ScoreColumnChunks(SearchWorkspace* ws, const CorpusView& index,
                        int32_t table, int32_t col, EntityId e2,
@@ -193,33 +189,18 @@ void ScoreColumnChunks(SearchWorkspace* ws, const CorpusView& index,
                        has_support ? batch.text.data() : nullptr);
     uint32_t* tids = batch.active.mutable_data();
     uint32_t m = 0;
-    if (has_entity && has_support) {
-      for (int i = 0; i < n; ++i) {
-        double rs = 0.0;
-        if (batch.entity[i] == e2) {
-          rs = hit;
-        } else if (ws->CellMatches(batch.text[i])) {
-          rs = fallback;
-        }
-        tids[m] = static_cast<uint32_t>(i);
-        batch.score[m] = rs;
-        m += static_cast<uint32_t>(rs > 0.0);
+    // A lane the verdicts left ungathered is never read: each test
+    // checks its verdict first.
+    for (int i = 0; i < n; ++i) {
+      double rs = 0.0;
+      if (has_entity && batch.entity[i] == e2) {
+        rs = hit;
+      } else if (has_support && ws->CellMatches(batch.text[i])) {
+        rs = fallback;
       }
-    } else if (has_entity) {
-      // No column support: the memo is provably false on every cell,
-      // so only the annotated comparison can fire.
-      for (int i = 0; i < n; ++i) {
-        tids[m] = static_cast<uint32_t>(i);
-        batch.score[m] = hit;
-        m += static_cast<uint32_t>(batch.entity[i] == e2);
-      }
-    } else {
-      // No E2 annotation in the column: only the text fallback.
-      for (int i = 0; i < n; ++i) {
-        tids[m] = static_cast<uint32_t>(i);
-        batch.score[m] = fallback;
-        m += static_cast<uint32_t>(ws->CellMatches(batch.text[i]));
-      }
+      tids[m] = static_cast<uint32_t>(i);
+      batch.score[m] = rs;
+      m += static_cast<uint32_t>(rs > 0.0);
     }
     batch.active.SetSize(m);
     if (m > 0) on_chunk(rb, n);

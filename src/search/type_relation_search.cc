@@ -37,9 +37,6 @@ void TypeRelationSearch(const CorpusView& index, const SelectQuery& query,
   const std::span<const CellRef> e2_postings =
       e2_present ? index.EntityPostings(query.e2)
                  : std::span<const CellRef>();
-  const PostingBlockSpan e2_blocks = e2_present
-                                         ? index.EntityPostingBlocks(query.e2)
-                                         : PostingBlockSpan();
 
   // Plan: group the relation's table-sorted postings into per-table
   // runs (a_begin/a_end index the postings span itself).
@@ -89,13 +86,12 @@ void TypeRelationSearch(const CorpusView& index, const SelectQuery& query,
       }
       return;
     }
-    search_internal::FillRefinedBounds(ws, e2_postings, e2_blocks,
-                                       refined_bound);
+    search_internal::FillRefinedBounds(ws, e2_postings, refined_bound);
   };
 
   // Lazy verdict counter: scored tables arrive in ascending order, so
   // one forward counter serves every FillRelationVerdicts call.
-  PostingRunCounter<CellRef> verdict_runs{e2_postings, e2_blocks};
+  PostingRunCounter<CellRef> verdict_runs{e2_postings};
   const exec::ScoreBatch& batch = ws->batch;
   auto score_table = [&](const PlannedTable& p) {
     search_internal::FillRelationVerdicts(ws, p, postings, &verdict_runs,

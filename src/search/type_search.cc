@@ -41,9 +41,6 @@ void TypeSearch(const CorpusView& index, const SelectQuery& query,
   const std::span<const CellRef> e2_postings =
       e2_present ? index.EntityPostings(query.e2)
                  : std::span<const CellRef>();
-  const PostingBlockSpan e2_blocks = e2_present
-                                         ? index.EntityPostingBlocks(query.e2)
-                                         : PostingBlockSpan();
 
   // Plan: leapfrog the two table-sorted type posting lists; a candidate
   // table needs a T1-typed column and a T2-typed column.
@@ -93,13 +90,12 @@ void TypeSearch(const CorpusView& index, const SelectQuery& query,
       }
       return;
     }
-    search_internal::FillRefinedBounds(ws, e2_postings, e2_blocks,
-                                       refined_bound);
+    search_internal::FillRefinedBounds(ws, e2_postings, refined_bound);
   };
 
   // Lazy verdict counter: scored tables arrive in ascending order, so
   // one forward counter serves every FillColumnVerdicts call.
-  PostingRunCounter<CellRef> verdict_runs{e2_postings, e2_blocks};
+  PostingRunCounter<CellRef> verdict_runs{e2_postings};
   auto score_table = [&](const PlannedTable& p) {
     search_internal::FillColumnVerdicts(ws, p, &verdict_runs, e2_present,
                                         support_valid);

@@ -1,6 +1,7 @@
 #ifndef WEBTAB_STORAGE_FORMAT_H_
 #define WEBTAB_STORAGE_FORMAT_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <type_traits>
@@ -28,7 +29,7 @@ namespace storage {
 inline constexpr char kMagic[8] = {'W', 'T', 'S', 'N', 'A', 'P', '0', '1'};
 inline constexpr uint32_t kFormatVersion = 1;
 /// Backward-compatible revision within kFormatVersion. Minor 1 adds the
-/// block-max section; readers accept any minor (new sections are
+/// match-support section; readers accept any minor (new sections are
 /// skipped by old readers, and new readers fall back when the section
 /// is absent).
 inline constexpr uint64_t kFormatVersionMinor = 1;
@@ -37,7 +38,7 @@ enum SectionKind : uint32_t {
   kCatalogSection = 1,
   kLemmaIndexSection = 2,
   kCorpusSection = 3,
-  kBlockMaxSection = 4,
+  kMatchSupportSection = 4,
 };
 
 struct FileHeader {
@@ -218,31 +219,30 @@ struct CorpusHeader {
   CsrRef entity_postings;         // CellRef values.
 };
 
-// --- Block-max section (format minor 1) -----------------------------------
+// --- Match-support section (format minor 1) ------------------------------
 
-static_assert(std::is_trivially_copyable_v<PostingBlockMax>);
-
-/// Block-max summaries for every search-facing posting list of the
-/// corpus section, plus the cell-token match-support index. Each block
-/// CSR is row-aligned with the corresponding corpus postings CSR (row i
-/// here summarizes row i there, ceil(len / kPostingBlockSize) blocks
-/// per row). Written only alongside a corpus section; readers that
-/// predate it skip the unknown kind, and new readers fall back to the
-/// unpruned scan when it is absent.
-struct BlockMaxHeader {
-  int64_t block_size = kPostingBlockSize;
-
-  CsrRef header_blocks;    // PostingBlockMax, one row per header token.
-  CsrRef context_blocks;   // One row per context token.
-  CsrRef type_blocks;      // One row per type key.
-  CsrRef relation_blocks;  // One row per relation key.
-  CsrRef entity_blocks;    // One row per entity key.
+/// The cell-token match-support index. Written only alongside a corpus
+/// section; readers that predate it skip the unknown kind, and readers
+/// fall back to unrefined bounds when it is absent.
+///
+/// The leading fields are reserved: writers zero them and readers never
+/// look at them. Earlier writers stored per-posting-list block summaries
+/// there (block size 64, then five CSRs row-aligned with the corpus
+/// postings), so those files still parse with this layout. Readers of
+/// that era required a block size of 64, so they reject a zero one
+/// instead of misreading the file.
+struct MatchSupportHeader {
+  int64_t reserved_block_size = 0;
+  CsrRef reserved_blocks[5];
 
   StringArenaRef cell_tokens;  // Distinct cell tokens, sorted by text.
   CsrRef cell_token_postings;  // CellTokenRef values, one row per
                                // token, sorted by (table, col), unique;
                                // min_tokens >= 1.
 };
+static_assert(offsetof(MatchSupportHeader, cell_tokens) == 168,
+              "match-support fields keep their minor-1 offsets");
+static_assert(sizeof(MatchSupportHeader) == 232);
 
 /// Payload checksum: a word-at-a-time multiply-xor hash (FNV-style
 /// constants, murmur-style finalizer). Processes 8 bytes per step so

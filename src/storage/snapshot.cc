@@ -126,29 +126,30 @@ Result<Snapshot> Snapshot::Open(const std::string& path,
         break;
     }
   }
-  // The block-max section augments the corpus view, so attach it only
-  // after every corpus section is resolved.
+  // The match-support section augments the corpus view, so attach it
+  // only after every corpus section is resolved.
   for (const SectionInfo& info : snap.sections_) {
-    if (info.kind != kBlockMaxSection) continue;
+    if (info.kind != kMatchSupportSection) continue;
     if (snap.corpus_ == nullptr) {
       return Status::ParseError(
-          "block-max section requires a corpus section");
+          "match-support section requires a corpus section");
     }
     WEBTAB_RETURN_IF_ERROR(
-        snap.corpus_->AttachBlockMax(base + info.offset, info.size));
+        snap.corpus_->AttachMatchSupport(base + info.offset, info.size));
   }
-  if (snap.corpus_ != nullptr && !snap.corpus_->has_block_max()) {
-    // Pre-minor-1 snapshot: search still works, but top-k pruning
-    // cannot fire. Warn once per process, not per open — hot-swap
-    // reloads would otherwise spam the log.
+  if (snap.corpus_ != nullptr && !snap.corpus_->HasMatchSupport()) {
+    // Pre-minor-1 snapshot: search still works, but no column can be
+    // proved text-matchless, so the select engines run on unrefined
+    // bounds. Warn once per process, not per open — hot-swap reloads
+    // would otherwise spam the log.
     static bool warned = false;
     if (!warned) {
       warned = true;
       WEBTAB_LOG(Warning)
           << "snapshot " << path
-          << " predates the block-max index (format minor "
+          << " predates the match-support index (format minor "
           << snap.version_minor_
-          << "); search falls back to unpruned scans";
+          << "); search falls back to unrefined bounds";
     }
   }
   if (snap.catalog_ == nullptr) {

@@ -803,55 +803,14 @@ Status SnapshotCorpusView::Init(const uint8_t* base, uint64_t size) {
   return Status::Ok();
 }
 
-Status SnapshotCorpusView::AttachBlockMax(const uint8_t* base,
-                                          uint64_t size) {
-  if (size < sizeof(BlockMaxHeader)) {
-    return Status::ParseError("block-max section too small");
+Status SnapshotCorpusView::AttachMatchSupport(const uint8_t* base,
+                                              uint64_t size) {
+  if (size < sizeof(MatchSupportHeader)) {
+    return Status::ParseError("match-support section too small");
   }
-  BlockMaxHeader h;
+  MatchSupportHeader h;
   std::memcpy(&h, base, sizeof(h));
-  if (h.block_size != kPostingBlockSize) {
-    return Status::ParseError("unsupported posting block size");
-  }
   SectionBytes s{base, size};
-
-  // Every block CSR must mirror its corpus postings twin row for row;
-  // checking the partition counts here makes Row() indexing safe and
-  // keeps per-block slicing in DeepValidate purely arithmetic.
-  auto get_blocks = [&](CsrRef ref, std::span<const uint64_t> posting_ends,
-                        CsrView<PostingBlockMax>* out,
-                        const char* what) -> Status {
-    WEBTAB_RETURN_IF_ERROR(GetCsr(s, ref, posting_ends.size(), out, what));
-    uint64_t prev_postings = 0, prev_blocks = 0;
-    for (uint64_t row = 0; row < posting_ends.size(); ++row) {
-      const uint64_t postings = posting_ends[row] - prev_postings;
-      const uint64_t blocks = out->row_ends[row] - prev_blocks;
-      const uint64_t expected =
-          (postings + kPostingBlockSize - 1) / kPostingBlockSize;
-      if (blocks != expected) {
-        return Status::ParseError(
-            std::string("block count does not partition ") + what);
-      }
-      prev_postings = posting_ends[row];
-      prev_blocks = out->row_ends[row];
-    }
-    return Status::Ok();
-  };
-  WEBTAB_RETURN_IF_ERROR(get_blocks(h.header_blocks,
-                                    header_postings_.row_ends,
-                                    &header_blocks_, "header blocks"));
-  WEBTAB_RETURN_IF_ERROR(get_blocks(h.context_blocks,
-                                    context_postings_.row_ends,
-                                    &context_blocks_, "context blocks"));
-  WEBTAB_RETURN_IF_ERROR(get_blocks(h.type_blocks, type_postings_.row_ends,
-                                    &type_blocks_, "type blocks"));
-  WEBTAB_RETURN_IF_ERROR(get_blocks(h.relation_blocks,
-                                    relation_postings_.row_ends,
-                                    &relation_blocks_, "relation blocks"));
-  WEBTAB_RETURN_IF_ERROR(get_blocks(h.entity_blocks,
-                                    entity_postings_.row_ends,
-                                    &entity_blocks_, "entity blocks"));
-
   WEBTAB_RETURN_IF_ERROR(GetArray(s, h.cell_tokens.ends,
                                   &cell_tokens_.ends));
   WEBTAB_RETURN_IF_ERROR(GetArena(s, h.cell_tokens, cell_tokens_.ends.size(),
@@ -871,25 +830,8 @@ Status SnapshotCorpusView::AttachBlockMax(const uint8_t* base,
           "non-positive min_tokens in cell token postings");
     }
   }
-  has_block_max_ = true;
+  has_match_support_ = true;
   return Status::Ok();
-}
-
-PostingBlockSpan SnapshotCorpusView::BlockList(int list) const {
-  switch (list) {
-    case 0:
-      return header_blocks_.values;
-    case 1:
-      return context_blocks_.values;
-    case 2:
-      return type_blocks_.values;
-    case 3:
-      return relation_blocks_.values;
-    case 4:
-      return entity_blocks_.values;
-    default:
-      return {};
-  }
 }
 
 namespace {
@@ -909,57 +851,6 @@ Status CheckPostingsTableOrder(const CsrView<T>& csr, const char* what) {
                                   " postings out of table order");
       }
       prev = table;
-    }
-  }
-  return Status::Ok();
-}
-
-/// Block-max content checks against the postings the blocks summarize.
-/// The cursors *skip* whole blocks on the declared last tables and the
-/// engines *skip* whole tables on the declared bounds, so a lying block
-/// drops evidence silently — exactly the failure class DeepValidate
-/// exists to reject. AttachBlockMax already proved the partition
-/// counts, so the per-block slices here are pure arithmetic.
-template <typename T, typename RowsFn>
-Status CheckBlockMax(const CsrView<PostingBlockMax>& blocks,
-                     const CsrView<T>& postings, RowsFn&& rows_of,
-                     const char* what) {
-  for (uint64_t row = 0; row < blocks.row_ends.size(); ++row) {
-    std::span<const T> prow = postings.Row(row);
-    std::span<const PostingBlockMax> brow = blocks.Row(row);
-    int32_t prev_last = -1;
-    for (size_t b = 0; b < brow.size(); ++b) {
-      const size_t begin = b * kPostingBlockSize;
-      const std::span<const T> slice = prow.subspan(
-          begin, std::min<size_t>(kPostingBlockSize, prow.size() - begin));
-      const PostingBlockMax& blk = brow[b];
-      if (blk.last_table < prev_last) {
-        return Status::ParseError(std::string(what) +
-                                  " block refs out of table order");
-      }
-      prev_last = blk.last_table;
-      if (blk.last_table !=
-          search_internal::PostingTable(slice.back())) {
-        return Status::ParseError(std::string(what) +
-                                  " block last table mismatch");
-      }
-      size_t i = 0;
-      while (i < slice.size()) {
-        const int32_t table = search_internal::PostingTable(slice[i]);
-        size_t j = i;
-        while (j < slice.size() &&
-               search_internal::PostingTable(slice[j]) == table) {
-          ++j;
-        }
-        const int32_t run = static_cast<int32_t>(j - i);
-        const int32_t rows = rows_of(table);
-        if (blk.max_run < run || blk.max_rows < rows ||
-            blk.max_bound < rows * run) {
-          return Status::ParseError(std::string(what) +
-                                    " block bound below contained postings");
-        }
-        i = j;
-      }
     }
   }
   return Status::Ok();
@@ -992,19 +883,7 @@ Status SnapshotCorpusView::DeepValidate() const {
           return a.c2 < b.c2;
         }));
   }
-  if (has_block_max_) {
-    auto rows_of = [this](int32_t t) { return table_meta_[t].rows; };
-    WEBTAB_RETURN_IF_ERROR(CheckBlockMax(header_blocks_, header_postings_,
-                                         rows_of, "header"));
-    WEBTAB_RETURN_IF_ERROR(CheckBlockMax(context_blocks_, context_postings_,
-                                         rows_of, "context"));
-    WEBTAB_RETURN_IF_ERROR(
-        CheckBlockMax(type_blocks_, type_postings_, rows_of, "type"));
-    WEBTAB_RETURN_IF_ERROR(CheckBlockMax(relation_blocks_,
-                                         relation_postings_, rows_of,
-                                         "relation"));
-    WEBTAB_RETURN_IF_ERROR(CheckBlockMax(entity_blocks_, entity_postings_,
-                                         rows_of, "entity"));
+  if (has_match_support_) {
     WEBTAB_RETURN_IF_ERROR(CheckArenaSorted(cell_tokens_, "cell tokens"));
     WEBTAB_RETURN_IF_ERROR(
         CheckPostingsTableOrder(cell_token_postings_, "cell token"));
@@ -1065,48 +944,10 @@ std::span<const CellRef> SnapshotCorpusView::EntityPostings(
 
 std::span<const CellTokenRef> SnapshotCorpusView::CellTokenPostings(
     std::string_view token) const {
-  if (!has_block_max_) return {};
+  if (!has_match_support_) return {};
   int64_t i = FindToken(cell_tokens_, token);
   return i < 0 ? std::span<const CellTokenRef>()
                : cell_token_postings_.Row(i);
-}
-
-PostingBlockSpan SnapshotCorpusView::HeaderPostingBlocks(
-    std::string_view token) const {
-  if (!has_block_max_) return {};
-  int64_t i = FindToken(header_tokens_, token);
-  return i < 0 ? PostingBlockSpan() : header_blocks_.Row(i);
-}
-
-PostingBlockSpan SnapshotCorpusView::ContextPostingBlocks(
-    std::string_view token) const {
-  if (!has_block_max_) return {};
-  int64_t i = FindToken(context_tokens_, token);
-  return i < 0 ? PostingBlockSpan() : context_blocks_.Row(i);
-}
-
-namespace {
-PostingBlockSpan KeyedBlocks(std::span<const int32_t> keys,
-                             const CsrView<PostingBlockMax>& csr,
-                             int32_t key, bool present) {
-  if (!present) return {};
-  auto it = std::lower_bound(keys.begin(), keys.end(), key);
-  if (it == keys.end() || *it != key) return {};
-  return csr.Row(static_cast<uint64_t>(it - keys.begin()));
-}
-}  // namespace
-
-PostingBlockSpan SnapshotCorpusView::TypePostingBlocks(TypeId t) const {
-  return KeyedBlocks(type_keys_, type_blocks_, t, has_block_max_);
-}
-
-PostingBlockSpan SnapshotCorpusView::RelationPostingBlocks(
-    RelationId b) const {
-  return KeyedBlocks(relation_keys_, relation_blocks_, b, has_block_max_);
-}
-
-PostingBlockSpan SnapshotCorpusView::EntityPostingBlocks(EntityId e) const {
-  return KeyedBlocks(entity_keys_, entity_blocks_, e, has_block_max_);
 }
 
 }  // namespace storage

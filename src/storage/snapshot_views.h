@@ -166,25 +166,22 @@ class SnapshotCorpusView : public CorpusView {
  public:
   Status Init(const uint8_t* base, uint64_t size);
 
-  /// Attaches the block-max section (format minor 1) to an Init'ed
-  /// corpus view. `base/size` are the block-max section's bytes.
-  /// Validates shape: every block CSR must be row-aligned with its
-  /// corpus postings twin (ceil(len / kPostingBlockSize) blocks per
-  /// row) and every cell-token table id in range. Without this call the
-  /// view reports HasMatchSupport() == false and engines fall back to
-  /// the unpruned ascending scan.
-  Status AttachBlockMax(const uint8_t* base, uint64_t size);
+  /// Attaches the match-support section (format minor 1) to an Init'ed
+  /// corpus view. `base/size` are the section's bytes. Validates shape:
+  /// every cell-token ref in range with min_tokens >= 1; the reserved
+  /// header fields are not read. Without this call the view reports
+  /// HasMatchSupport() == false and engines fall back to unrefined
+  /// bounds.
+  Status AttachMatchSupport(const uint8_t* base, uint64_t size);
 
   /// Hostile-file invariants: token arenas and postings key arrays
   /// sorted, per-table relation rows sorted by (c1, c2), and every
   /// postings row table-sorted (the CorpusView ordering contract the
   /// search kernel's galloping cursors rely on) — all are binary
-  /// searched by the engines. When a block-max section is attached,
-  /// additionally: block refs in table order and exactly matching each
-  /// block's final posting, declared bounds no smaller than the
-  /// contained postings, and the cell-token match-support index sorted
-  /// (engines *skip* tables based on it, so a lying index would
-  /// silently drop evidence rather than crash).
+  /// searched by the engines. When a match-support section is attached,
+  /// additionally: its token arena and postings rows sorted (engines
+  /// *skip* tables based on it, so a lying index would silently drop
+  /// evidence rather than crash).
   Status DeepValidate() const;
 
   int64_t num_tables() const override { return header_.num_tables; }
@@ -240,24 +237,12 @@ class SnapshotCorpusView : public CorpusView {
   std::span<const RelationRef> RelationPostings(RelationId b) const override;
   std::span<const CellRef> EntityPostings(EntityId e) const override;
 
-  bool HasMatchSupport() const override { return has_block_max_; }
+  bool HasMatchSupport() const override { return has_match_support_; }
   std::span<const CellTokenRef> CellTokenPostings(
       std::string_view token) const override;
-  PostingBlockSpan HeaderPostingBlocks(
-      std::string_view token) const override;
-  PostingBlockSpan ContextPostingBlocks(
-      std::string_view token) const override;
-  PostingBlockSpan TypePostingBlocks(TypeId t) const override;
-  PostingBlockSpan RelationPostingBlocks(RelationId b) const override;
-  PostingBlockSpan EntityPostingBlocks(EntityId e) const override;
 
   // --- Introspection (snapshot_tool inspect). ---
-  bool has_block_max() const { return has_block_max_; }
   int64_t num_cell_tokens() const { return cell_tokens_.size(); }
-  /// All block summaries of one posting family, concatenated across
-  /// rows; `list` indexes {header, context, type, relation, entity}.
-  static constexpr int kNumBlockLists = 5;
-  PostingBlockSpan BlockList(int list) const;
 
  private:
   CorpusHeader header_;
@@ -275,10 +260,8 @@ class SnapshotCorpusView : public CorpusView {
   CsrView<RelationRef> relation_postings_;
   std::span<const EntityId> entity_keys_;
   CsrView<CellRef> entity_postings_;
-  // Block-max section (absent in minor-0 snapshots).
-  bool has_block_max_ = false;
-  CsrView<PostingBlockMax> header_blocks_, context_blocks_, type_blocks_,
-      relation_blocks_, entity_blocks_;
+  // Match-support section (absent in minor-0 snapshots).
+  bool has_match_support_ = false;
   ArenaView cell_tokens_;
   CsrView<CellTokenRef> cell_token_postings_;
 };

@@ -7,7 +7,6 @@
 #include <span>
 #include <string_view>
 
-#include "search/block_max.h"
 #include "storage/format.h"
 
 namespace webtab {
@@ -402,58 +401,12 @@ std::vector<uint8_t> BuildCorpusSection(const CorpusIndex& corpus) {
   return sb.TakeBytes();
 }
 
-/// Builds the block-max section. Every block CSR mirrors the row order
-/// its corpus-section twin was serialized in (sorted keys / sorted token
-/// arena — AddKeyedPostings / AddTokenPostings above), so row i here
-/// summarizes row i there. Blocks come from the same shared helper the
-/// in-memory CorpusIndex build uses, keeping both backends' summaries
-/// identical for identical lists.
-std::vector<uint8_t> BuildBlockMaxSection(const CorpusIndex& corpus) {
-  SectionBuilder sb(sizeof(BlockMaxHeader));
-  BlockMaxHeader h;
-  auto rows_of = [&](int32_t t) { return corpus.rows(t); };
-
-  // Token-keyed lists iterate in sorted token order; id-keyed lists in
-  // sorted id order — exactly the corpus section's serialization order.
-  auto add_token_blocks = [&](const auto& map) {
-    std::vector<const std::string*> keys;
-    keys.reserve(map.size());
-    for (const auto& [k, v] : map) keys.push_back(&k);
-    std::sort(keys.begin(), keys.end(),
-              [](const std::string* a, const std::string* b) {
-                return *a < *b;
-              });
-    std::vector<uint64_t> ends;
-    std::vector<PostingBlockMax> blocks;
-    for (const std::string* k : keys) {
-      search_internal::AppendPostingBlocks(std::span(map.at(*k)), rows_of,
-                                           &blocks);
-      ends.push_back(blocks.size());
-    }
-    return CsrRef{sb.Add(ends), sb.Add(blocks)};
-  };
-  auto add_keyed_blocks = [&](const auto& map) {
-    using K = typename std::decay_t<decltype(map)>::key_type;
-    std::vector<K> keys;
-    keys.reserve(map.size());
-    for (const auto& [k, v] : map) keys.push_back(k);
-    std::sort(keys.begin(), keys.end());
-    std::vector<uint64_t> ends;
-    std::vector<PostingBlockMax> blocks;
-    for (const K& k : keys) {
-      search_internal::AppendPostingBlocks(std::span(map.at(k)), rows_of,
-                                           &blocks);
-      ends.push_back(blocks.size());
-    }
-    return CsrRef{sb.Add(ends), sb.Add(blocks)};
-  };
-
-  h.header_blocks = add_token_blocks(corpus.header_postings_map());
-  h.context_blocks = add_token_blocks(corpus.context_postings_map());
-  h.type_blocks = add_keyed_blocks(corpus.type_postings_map());
-  h.relation_blocks = add_keyed_blocks(corpus.relation_postings_map());
-  h.entity_blocks = add_keyed_blocks(corpus.entity_postings_map());
-
+/// Builds the match-support section: the cell-token postings, in
+/// sorted token order like every token-keyed corpus list. The reserved
+/// header fields stay zero.
+std::vector<uint8_t> BuildMatchSupportSection(const CorpusIndex& corpus) {
+  SectionBuilder sb(sizeof(MatchSupportHeader));
+  MatchSupportHeader h;
   AddTokenPostings(&sb, corpus.cell_token_postings_map(), &h.cell_tokens,
                    &h.cell_token_postings);
 
@@ -478,11 +431,6 @@ SnapshotBuilder& SnapshotBuilder::SetCorpus(const CorpusIndex* corpus) {
   return *this;
 }
 
-SnapshotBuilder& SnapshotBuilder::SetWriteBlockMax(bool write) {
-  write_block_max_ = write;
-  return *this;
-}
-
 Status SnapshotBuilder::WriteTo(std::vector<uint8_t>* out) const {
   if (catalog_ == nullptr) {
     return Status::FailedPrecondition("snapshot requires a catalog payload");
@@ -496,10 +444,8 @@ Status SnapshotBuilder::WriteTo(std::vector<uint8_t>* out) const {
   }
   if (corpus_ != nullptr) {
     sections.emplace_back(kCorpusSection, BuildCorpusSection(*corpus_));
-    if (write_block_max_) {
-      sections.emplace_back(kBlockMaxSection,
-                            BuildBlockMaxSection(*corpus_));
-    }
+    sections.emplace_back(kMatchSupportSection,
+                          BuildMatchSupportSection(*corpus_));
   }
 
   out->clear();
@@ -517,9 +463,9 @@ Status SnapshotBuilder::WriteTo(std::vector<uint8_t>* out) const {
   FileHeader header;
   std::memcpy(header.magic, kMagic, sizeof(kMagic));
   header.version = kFormatVersion;
-  // Legacy layout (no block-max section) is exactly minor 0.
-  header.version_minor =
-      (corpus_ != nullptr && write_block_max_) ? kFormatVersionMinor : 0;
+  // A file without a corpus has no match-support section either, which
+  // is exactly the minor-0 layout.
+  header.version_minor = corpus_ != nullptr ? kFormatVersionMinor : 0;
   header.section_count = static_cast<uint32_t>(entries.size());
   header.section_table_offset = out->size();
   const uint8_t* entry_bytes =

@@ -35,13 +35,6 @@ class SnapshotBuilder {
   /// Optional corpus payload (annotated tables + postings).
   SnapshotBuilder& SetCorpus(const CorpusIndex* corpus);
 
-  /// Whether to emit the block-max section alongside the corpus section
-  /// (default true). Off produces a format-minor-0 file — the layout of
-  /// snapshots written before the block-max index existed — which
-  /// readers open fine with the unpruned-scan fallback; tests use it to
-  /// cover that path.
-  SnapshotBuilder& SetWriteBlockMax(bool write);
-
   /// Serializes to an in-memory buffer (header + payload + section
   /// table, checksummed) — the exact bytes WriteToFile would emit.
   Status WriteTo(std::vector<uint8_t>* out) const;
@@ -53,7 +46,6 @@ class SnapshotBuilder {
   const CatalogView* catalog_ = nullptr;
   const LemmaIndex* index_ = nullptr;
   const CorpusIndex* corpus_ = nullptr;
-  bool write_block_max_ = true;
 };
 
 }  // namespace storage

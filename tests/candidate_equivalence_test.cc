@@ -10,7 +10,9 @@
 // similarity calls of tests/reference_features.h bit for bit.
 #include <gtest/gtest.h>
 
+#include <cctype>
 #include <cstdio>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -172,6 +174,57 @@ TEST(CandidateEquivalenceFig9Test, BatchedMatchesReferenceOnFig9Corpus) {
   std::vector<Table> tables;
   for (int i = 0; i < 200; ++i) tables.push_back(corpus[i].table);
   ExpectBatchedMatchesReference(tables, index, &world.catalog);
+}
+
+/// `text` with letter i upper-cased iff bit (i mod 11) of `pattern` is
+/// set: a distinct raw string per pattern for names of 11+ letters,
+/// tokenized identically to `text` (tokens are lower-cased).
+std::string CaseVariant(const std::string& text, int pattern) {
+  std::string out = text;
+  int letter = 0;
+  for (char& ch : out) {
+    const unsigned char u = static_cast<unsigned char>(ch);
+    if (!std::isalpha(u)) continue;
+    ch = static_cast<char>(((pattern >> (letter % 11)) & 1)
+                               ? std::toupper(u)
+                               : std::tolower(u));
+    ++letter;
+  }
+  return out;
+}
+
+// Relation votes count distinct row-pairs. Here two entity columns hold
+// more than 1,024 distinct cells each, over 2^20 distinct-index
+// combinations: every acted_in tuple recurs under many letter-case
+// spellings, so each row is its own distinct pair.
+TEST(CandidateEquivalenceWideTest, WideDistinctColumnsMatchReference) {
+  const World& world = SharedWorld();
+  const auto& tuples = world.true_relations[world.acted_in].tuples;
+  ASSERT_FALSE(tuples.empty());
+  constexpr int kRows = 1100;
+  Table table(kRows, 2);
+  table.set_header(0, "actor");
+  table.set_header(1, "movie");
+  std::set<std::string> distinct[2];
+  for (int r = 0; r < kRows; ++r) {
+    const auto& [actor, movie] = tuples[r % tuples.size()];
+    table.set_cell(
+        r, 0, CaseVariant(std::string(world.catalog.EntityName(actor)), r));
+    table.set_cell(
+        r, 1, CaseVariant(std::string(world.catalog.EntityName(movie)), r));
+    distinct[0].insert(std::string(table.cell(r, 0)));
+    distinct[1].insert(std::string(table.cell(r, 1)));
+  }
+  ASSERT_GT(distinct[0].size(), 1024u);
+  ASSERT_GT(distinct[1].size(), 1024u);
+
+  ClosureCache closure(&world.catalog);
+  CandidateOptions options;
+  TableCandidates reference =
+      ReferenceGenerateCandidates(table, SharedIndex(), &closure, options);
+  // Non-vacuity: the pair must collect relation votes.
+  ASSERT_FALSE(reference.relations[std::make_pair(0, 1)].empty());
+  ExpectBatchedMatchesReference({table}, SharedIndex(), &world.catalog);
 }
 
 // A lemma that repeats a token has one posting entry per repeat, so a

@@ -1,16 +1,14 @@
-// Block-max index tests: (a) the pruned top-k property — for any k, on
-// either backend and on both flat and skewed corpora, the pruned prefix
-// is identical to the reference full ranking's prefix; (b) hostile
-// block-max sections — checksum-valid files whose block summaries or
-// cell-token index lie are rejected (plain Open accepts everything
-// structurally sound; OpenValidated must catch content lies, because
-// the engines *skip* work based on these sections and a lying bound
-// silently drops evidence instead of crashing).
+// Match-support index tests: (a) the pruned top-k property — for any k,
+// on either backend and on both flat and skewed corpora, the pruned
+// prefix is identical to the reference full ranking's prefix; (b)
+// hostile match-support sections — checksum-valid files whose cell-token
+// index lies are rejected (plain Open accepts everything structurally
+// sound; OpenValidated must catch content lies, because the engines
+// *skip* work based on this index and a lying one silently drops
+// evidence instead of crashing).
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <cstring>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -21,6 +19,7 @@
 #include "search/corpus_index.h"
 #include "search/type_relation_search.h"
 #include "search/type_search.h"
+#include "snapshot_bytes.h"
 #include "storage/format.h"
 #include "storage/snapshot.h"
 #include "storage/snapshot_writer.h"
@@ -32,47 +31,15 @@ namespace {
 
 using storage::Snapshot;
 using storage::SnapshotBuilder;
+using testing_util::FixChecksum;
+using testing_util::ReadPod;
+using testing_util::SectionOffsetOf;
 using testing_util::SharedIndex;
 using testing_util::SharedWorld;
+using testing_util::WriteBytes;
 
 std::string TempPath(const std::string& name) {
   return ::testing::TempDir() + "/" + name;
-}
-
-void WriteBytes(const std::string& path, const std::vector<uint8_t>& bytes) {
-  std::ofstream f(path, std::ios::binary | std::ios::trunc);
-  f.write(reinterpret_cast<const char*>(bytes.data()),
-          static_cast<std::streamsize>(bytes.size()));
-  ASSERT_TRUE(f.good());
-}
-
-template <typename T>
-T ReadPod(const std::vector<uint8_t>& bytes, uint64_t offset) {
-  T out;
-  std::memcpy(&out, bytes.data() + offset, sizeof(T));
-  return out;
-}
-
-uint64_t SectionOffsetOf(const std::vector<uint8_t>& bytes, uint32_t kind) {
-  auto header = ReadPod<storage::FileHeader>(bytes, 0);
-  for (uint32_t i = 0; i < header.section_count; ++i) {
-    auto entry = ReadPod<storage::SectionEntry>(
-        bytes, header.section_table_offset +
-                   i * sizeof(storage::SectionEntry));
-    if (entry.kind == kind) return entry.offset;
-  }
-  return 0;
-}
-
-/// Recomputes the payload checksum after a surgical mutation, so the
-/// file models an attacker-authored snapshot rather than bit rot.
-void FixChecksum(std::vector<uint8_t>* bytes) {
-  const uint64_t payload = sizeof(storage::FileHeader);
-  uint64_t checksum = storage::Checksum64(bytes->data() + payload,
-                                          bytes->size() - payload);
-  std::memcpy(bytes->data() + offsetof(storage::FileHeader,
-                                       payload_checksum),
-              &checksum, sizeof(checksum));
 }
 
 // --- Pruned-prefix property -----------------------------------------------
@@ -98,7 +65,7 @@ struct Backend {
   const CorpusView* view;
 };
 
-class BlockMaxPrefixTest : public ::testing::TestWithParam<bool> {
+class MatchSupportPrefixTest : public ::testing::TestWithParam<bool> {
  protected:
   // Parameter: skewed row distribution. Flat corpora exercise the
   // uniform-bound case (pruning must come from zero-support
@@ -120,15 +87,15 @@ class BlockMaxPrefixTest : public ::testing::TestWithParam<bool> {
     corpus_ = std::make_unique<CorpusIndex>(
         AnnotateCorpus(&annotator, tables), &closure);
 
-    path_ = TempPath(GetParam() ? "blockmax_skewed.snap"
-                                : "blockmax_flat.snap");
+    path_ = TempPath(GetParam() ? "match_support_skewed.snap"
+                                : "match_support_flat.snap");
     SnapshotBuilder builder;
     builder.SetCatalog(&world.catalog).SetCorpus(corpus_.get());
     WEBTAB_CHECK_OK(builder.WriteToFile(path_));
     Result<Snapshot> snap = Snapshot::OpenValidated(path_);
     WEBTAB_CHECK(snap.ok()) << snap.status().ToString();
     snap_ = std::make_unique<Snapshot>(std::move(snap.value()));
-    EXPECT_TRUE(snap_->corpus()->has_block_max());
+    EXPECT_TRUE(snap_->corpus()->HasMatchSupport());
     EXPECT_EQ(snap_->version_minor(), storage::kFormatVersionMinor);
   }
 
@@ -166,7 +133,7 @@ class BlockMaxPrefixTest : public ::testing::TestWithParam<bool> {
   std::unique_ptr<Snapshot> snap_;
 };
 
-TEST_P(BlockMaxPrefixTest, PrunedPrefixMatchesFullRankForAnyK) {
+TEST_P(MatchSupportPrefixTest, PrunedPrefixMatchesFullRankForAnyK) {
   struct EngineCase {
     const char* name;
     std::vector<SearchResult> (*reference)(const CorpusView&,
@@ -206,18 +173,17 @@ TEST_P(BlockMaxPrefixTest, PrunedPrefixMatchesFullRankForAnyK) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(FlatAndSkewed, BlockMaxPrefixTest,
+INSTANTIATE_TEST_SUITE_P(FlatAndSkewed, MatchSupportPrefixTest,
                          ::testing::Values(false, true),
                          [](const ::testing::TestParamInfo<bool>& info) {
                            return info.param ? "Skewed" : "Flat";
                          });
 
-// --- Hostile block-max sections -------------------------------------------
+// --- Hostile match-support sections --------------------------------------
 
-class BlockMaxHostileTest : public ::testing::Test {
+class MatchSupportHostileTest : public ::testing::Test {
  protected:
-  // Built once: annotating enough tables for a multi-block posting list
-  // (> kPostingBlockSize type postings) is the expensive part.
+  // Built once: annotating the corpus is the expensive part.
   static void SetUpTestSuite() {
     const World& world = SharedWorld();
     CorpusSpec spec;
@@ -246,8 +212,8 @@ class BlockMaxHostileTest : public ::testing::Test {
   }
 
   uint64_t Section() const {
-    uint64_t s = SectionOffsetOf(*bytes_, storage::kBlockMaxSection);
-    WEBTAB_CHECK(s != 0) << "snapshot lacks a block-max section";
+    uint64_t s = SectionOffsetOf(*bytes_, storage::kMatchSupportSection);
+    WEBTAB_CHECK(s != 0) << "snapshot lacks a match-support section";
     return s;
   }
 
@@ -284,87 +250,26 @@ class BlockMaxHostileTest : public ::testing::Test {
   static std::vector<uint8_t>* bytes_;
 };
 
-CorpusIndex* BlockMaxHostileTest::corpus_ = nullptr;
-std::vector<uint8_t>* BlockMaxHostileTest::bytes_ = nullptr;
+CorpusIndex* MatchSupportHostileTest::corpus_ = nullptr;
+std::vector<uint8_t>* MatchSupportHostileTest::bytes_ = nullptr;
 
-TEST_F(BlockMaxHostileTest, OpenValidatedAcceptsIntactFile) {
-  std::string path = TempPath("blockmax_intact.snap");
+TEST_F(MatchSupportHostileTest, OpenValidatedAcceptsIntactFile) {
+  std::string path = TempPath("match_support_intact.snap");
   WriteBytes(path, *bytes_);
   Result<Snapshot> snap = Snapshot::OpenValidated(path);
   EXPECT_TRUE(snap.ok()) << snap.status().ToString();
-  EXPECT_TRUE(snap->corpus()->has_block_max());
+  EXPECT_TRUE(snap->corpus()->HasMatchSupport());
   std::remove(path.c_str());
 }
 
-TEST_F(BlockMaxHostileTest, RejectsBlockRefsOutOfTableOrder) {
-  // A cursor seeks by binary search over block last-tables; an
-  // out-of-order pair would make it skip live blocks. Needs a posting
-  // list spanning >= 2 blocks — the type postings of a common type do.
-  std::vector<uint8_t> hostile = *bytes_;
-  uint64_t section = Section();
-  auto h = ReadPod<storage::BlockMaxHeader>(hostile, section);
-  uint64_t row = static_cast<uint64_t>(-1);
-  for (uint64_t r = 0; r < h.type_blocks.row_ends.count; ++r) {
-    auto [begin, end] = RowRange(section, h.type_blocks, r);
-    if (end - begin >= 2) {
-      row = r;
-      break;
-    }
-  }
-  ASSERT_NE(row, static_cast<uint64_t>(-1))
-      << "no multi-block type postings row; grow the corpus";
-  auto [begin, end] = RowRange(section, h.type_blocks, row);
-  uint64_t second = section + h.type_blocks.values.offset +
-                    (begin + 1) * sizeof(PostingBlockMax) +
-                    offsetof(PostingBlockMax, last_table);
-  int32_t bogus = -1;  // Strictly below any real predecessor.
-  std::memcpy(hostile.data() + second, &bogus, sizeof(bogus));
-  FixChecksum(&hostile);
-  ExpectValidatedRejects("blockmax_unordered.snap", hostile,
-                         "block refs out of table order");
-}
-
-TEST_F(BlockMaxHostileTest, RejectsBlockLastTableMismatch) {
-  // The declared last table must equal the block's final posting's
-  // table — the cursor uses it to decide which block holds a target.
-  std::vector<uint8_t> hostile = *bytes_;
-  uint64_t section = Section();
-  auto h = ReadPod<storage::BlockMaxHeader>(hostile, section);
-  ASSERT_GE(h.entity_blocks.values.count, 1u);
-  uint64_t first = section + h.entity_blocks.values.offset +
-                   offsetof(PostingBlockMax, last_table);
-  int32_t declared = ReadPod<int32_t>(hostile, first);
-  int32_t lied = declared + 1;
-  std::memcpy(hostile.data() + first, &lied, sizeof(lied));
-  FixChecksum(&hostile);
-  ExpectValidatedRejects("blockmax_lasttable.snap", hostile,
-                         "block last table mismatch");
-}
-
-TEST_F(BlockMaxHostileTest, RejectsBoundBelowContainedPostings) {
-  // A zeroed max_bound would let the engines skip a table that holds
-  // real evidence — the exactness-breaking lie.
-  std::vector<uint8_t> hostile = *bytes_;
-  uint64_t section = Section();
-  auto h = ReadPod<storage::BlockMaxHeader>(hostile, section);
-  ASSERT_GE(h.relation_blocks.values.count, 1u);
-  uint64_t first = section + h.relation_blocks.values.offset +
-                   offsetof(PostingBlockMax, max_bound);
-  int32_t zero = 0;
-  std::memcpy(hostile.data() + first, &zero, sizeof(zero));
-  FixChecksum(&hostile);
-  ExpectValidatedRejects("blockmax_bound.snap", hostile,
-                         "block bound below contained postings");
-}
-
-TEST_F(BlockMaxHostileTest, RejectsCellTokenPostingsOutOfTableOrder) {
+TEST_F(MatchSupportHostileTest, RejectsCellTokenPostingsOutOfTableOrder) {
   // Match support is binary-searched by (table, col); out-of-order rows
   // would make BuildMatchSupport miss live columns and engines would
   // prune tables that still match. Swap two entries from different
   // tables in one token's row.
   std::vector<uint8_t> hostile = *bytes_;
   uint64_t section = Section();
-  auto h = ReadPod<storage::BlockMaxHeader>(hostile, section);
+  auto h = ReadPod<storage::MatchSupportHeader>(hostile, section);
   uint64_t values = section + h.cell_token_postings.values.offset;
   uint64_t victim = static_cast<uint64_t>(-1);
   for (uint64_t r = 0; r < h.cell_token_postings.row_ends.count; ++r) {
@@ -392,23 +297,23 @@ TEST_F(BlockMaxHostileTest, RejectsCellTokenPostingsOutOfTableOrder) {
   std::memcpy(hostile.data() + values + (victim + 1) * sizeof(CellTokenRef),
               &a, sizeof(a));
   FixChecksum(&hostile);
-  ExpectValidatedRejects("blockmax_celltoken_order.snap", hostile,
+  ExpectValidatedRejects("match_support_celltoken_order.snap", hostile,
                          "cell token postings out of table order");
 }
 
-TEST_F(BlockMaxHostileTest, NonPositiveMinTokensRejectedAtOpen) {
+TEST_F(MatchSupportHostileTest, NonPositiveMinTokensRejectedAtOpen) {
   // min_tokens >= 1 is structural (a zero would divide the Jaccard
   // feasibility cap), so even plain Open rejects it at attach time.
   std::vector<uint8_t> hostile = *bytes_;
   uint64_t section = Section();
-  auto h = ReadPod<storage::BlockMaxHeader>(hostile, section);
+  auto h = ReadPod<storage::MatchSupportHeader>(hostile, section);
   ASSERT_GE(h.cell_token_postings.values.count, 1u);
   uint64_t first = section + h.cell_token_postings.values.offset +
                    offsetof(CellTokenRef, min_tokens);
   int32_t zero = 0;
   std::memcpy(hostile.data() + first, &zero, sizeof(zero));
   FixChecksum(&hostile);
-  std::string path = TempPath("blockmax_mintokens.snap");
+  std::string path = TempPath("match_support_mintokens.snap");
   WriteBytes(path, hostile);
   Result<Snapshot> opened = Snapshot::Open(path);
   ASSERT_FALSE(opened.ok());

@@ -9,13 +9,27 @@
 #include <vector>
 
 #include "search/corpus_view.h"
-#include "search/engine_util.h"
 #include "search/join_search.h"
 #include "search/query.h"
+#include "text/similarity.h"
 #include "text/tokenizer.h"
 
 namespace webtab {
 namespace testing_util {
+
+/// Does `cell_text` plausibly mention the query's E2 string? Exact
+/// normalized match or strong token overlap (covers abbreviated forms).
+/// Callers pass the query side pre-normalized (NormalizeSelectQuery);
+/// normalization is idempotent so the measures are unchanged.
+///
+/// This is the semantic ground truth for the kernel's memoized
+/// TextMatchMemo (src/search/search_workspace.h), which must return
+/// bit-identical results — asserted by tests/search_equivalence_test.cc.
+inline bool CellMatchesText(std::string_view cell_text,
+                            std::string_view e2_text) {
+  if (ExactNormalizedMatch(cell_text, e2_text)) return true;
+  return JaccardSimilarity(cell_text, e2_text) >= 0.5;
+}
 
 /// The retired map/set-backed search engines, retained verbatim as the
 /// reference the cursor/workspace kernel is checked against: fresh
@@ -72,8 +86,6 @@ class ReferenceEvidenceAggregator {
 inline std::vector<SearchResult> ReferenceBaselineSearch(
     const CorpusView& index, const SelectQuery& query,
     const NormalizedSelectQuery& nq) {
-  using search_internal::CellMatchesText;
-
   std::map<int, std::set<int>> t1_cols;
   std::map<int, std::set<int>> t2_cols;
   for (const std::string& token : nq.type1_tokens) {
@@ -115,8 +127,6 @@ inline std::vector<SearchResult> ReferenceBaselineSearch(
 inline std::vector<SearchResult> ReferenceTypeSearch(
     const CorpusView& index, const SelectQuery& query,
     const NormalizedSelectQuery& nq) {
-  using search_internal::CellMatchesText;
-
   std::map<int, std::set<int>> t1_cols;
   std::map<int, std::set<int>> t2_cols;
   for (const ColumnRef& ref : index.TypePostings(query.type1)) {
@@ -160,8 +170,6 @@ inline std::vector<SearchResult> ReferenceTypeSearch(
 inline std::vector<SearchResult> ReferenceTypeRelationSearch(
     const CorpusView& index, const SelectQuery& query,
     const NormalizedSelectQuery& nq) {
-  using search_internal::CellMatchesText;
-
   ReferenceEvidenceAggregator agg;
   for (const RelationRef& ref : index.RelationPostings(query.relation)) {
     int subject_col = ref.swapped ? ref.c2 : ref.c1;
@@ -197,7 +205,6 @@ inline std::map<EntityId, double> ExpandLeg(const CorpusView& index,
                                             EntityId grounded,
                                             const std::string& grounded_text,
                                             bool grounded_is_object) {
-  using search_internal::CellMatchesText;
   std::map<EntityId, double> bindings;
   for (const RelationRef& ref : index.RelationPostings(rel)) {
     int subject_col = ref.swapped ? ref.c2 : ref.c1;

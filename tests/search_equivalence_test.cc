@@ -397,7 +397,7 @@ TEST_F(SearchEquivalenceTest, MemoMatchesCellMatchesText) {
       for (int r = 0; r < mem_corpus_->rows(t); ++r) {
         for (int c = 0; c < mem_corpus_->cols(t); ++c) {
           std::string_view cell = mem_corpus_->cell(t, r, c);
-          bool want = search_internal::CellMatchesText(cell, target);
+          bool want = testing_util::CellMatchesText(cell, target);
           // Probe twice: compute path and memo-hit path.
           EXPECT_EQ(ws.CellMatches(cell), want) << cell;
           EXPECT_EQ(ws.CellMatches(cell), want) << cell;

@@ -4,7 +4,9 @@
 // acceptance bar for the snapshot subsystem.
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <cstdio>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -16,6 +18,8 @@
 #include "search/join_search.h"
 #include "search/type_relation_search.h"
 #include "search/type_search.h"
+#include "snapshot_bytes.h"
+#include "storage/format.h"
 #include "storage/snapshot.h"
 #include "storage/snapshot_writer.h"
 #include "synth/corpus_generator.h"
@@ -26,8 +30,13 @@ namespace {
 
 using storage::Snapshot;
 using storage::SnapshotBuilder;
+using testing_util::FixChecksum;
+using testing_util::ReadPod;
+using testing_util::ReadSectionTable;
+using testing_util::SectionOffsetOf;
 using testing_util::SharedIndex;
 using testing_util::SharedWorld;
+using testing_util::WriteBytes;
 
 void ExpectSameAnnotation(const TableAnnotation& a,
                           const TableAnnotation& b) {
@@ -44,6 +53,46 @@ void ExpectSameResults(const std::vector<SearchResult>& a,
     EXPECT_EQ(a[i].text, b[i].text);
     EXPECT_EQ(a[i].score, b[i].score);  // Bitwise double equality.
   }
+}
+
+/// Turns a current image into the minor-0 layout: the match-support
+/// section's bytes and table entry are cut out, section_count drops by
+/// one and version_minor becomes 0. The writer appends that section
+/// last, so its payload runs up to the section table.
+void DropMatchSupportSection(std::vector<uint8_t>* bytes) {
+  auto header = ReadPod<storage::FileHeader>(*bytes, 0);
+  std::vector<storage::SectionEntry> entries = ReadSectionTable(*bytes);
+  ASSERT_FALSE(entries.empty());
+  const storage::SectionEntry last = entries.back();
+  ASSERT_EQ(last.kind, storage::kMatchSupportSection);
+  entries.pop_back();
+  bytes->resize(last.offset);
+  const uint8_t* entry_bytes =
+      reinterpret_cast<const uint8_t*>(entries.data());
+  bytes->insert(bytes->end(), entry_bytes,
+                entry_bytes + entries.size() * sizeof(storage::SectionEntry));
+  header.section_table_offset = last.offset;
+  header.section_count = static_cast<uint32_t>(entries.size());
+  header.version_minor = 0;
+  header.file_size = bytes->size();
+  std::memcpy(bytes->data(), &header, sizeof(header));
+  FixChecksum(bytes);
+}
+
+/// Fills the match-support header's reserved fields (the former block
+/// size and block CSRs) with non-zero garbage. Files written while
+/// those fields carried block summaries hold non-zero values there, and
+/// readers must not depend on them.
+void ScribbleReservedFields(std::vector<uint8_t>* bytes) {
+  const uint64_t section =
+      SectionOffsetOf(*bytes, storage::kMatchSupportSection);
+  ASSERT_NE(section, 0u) << "image lacks a match-support section";
+  const size_t reserved_end =
+      offsetof(storage::MatchSupportHeader, cell_tokens);
+  for (size_t b = 0; b < reserved_end; ++b) {
+    (*bytes)[section + b] = static_cast<uint8_t>(0xA5 ^ (b * 37));
+  }
+  FixChecksum(bytes);
 }
 
 class SnapshotEquivalenceTest : public ::testing::Test {
@@ -179,11 +228,9 @@ TEST_F(SnapshotEquivalenceTest, CorpusViewIdentical) {
   }
 }
 
-TEST_F(SnapshotEquivalenceTest, AllFourEnginesIdentical) {
+/// A handful of select queries over the world's primary relations.
+std::vector<SelectQuery> EquivalenceSelectQueries() {
   const World& world = SharedWorld();
-  const CorpusView& sv = *snap_->corpus();
-
-  // A handful of select queries over the world's primary relations.
   std::vector<SelectQuery> queries;
   {
     SelectQuery q;
@@ -212,15 +259,11 @@ TEST_F(SnapshotEquivalenceTest, AllFourEnginesIdentical) {
     q.e2_text = "the quest";
     queries.push_back(q);
   }
+  return queries;
+}
 
-  for (const SelectQuery& q : queries) {
-    ExpectSameResults(BaselineSearch(*mem_corpus_, q),
-                      BaselineSearch(sv, q));
-    ExpectSameResults(TypeSearch(*mem_corpus_, q), TypeSearch(sv, q));
-    ExpectSameResults(TypeRelationSearch(*mem_corpus_, q),
-                      TypeRelationSearch(sv, q));
-  }
-
+JoinQuery EquivalenceJoinQuery() {
+  const World& world = SharedWorld();
   JoinQuery jq;
   jq.r1 = world.acted_in;
   jq.e1_is_subject = true;
@@ -228,32 +271,49 @@ TEST_F(SnapshotEquivalenceTest, AllFourEnginesIdentical) {
   jq.e2_is_subject = false;
   jq.e3 = world.catalog.num_entities() > 10 ? 10 : kNa;
   jq.e3_text = "director";
-  ExpectSameResults(JoinSearch(*mem_corpus_, jq), JoinSearch(sv, jq));
+  return jq;
 }
 
-TEST_F(SnapshotEquivalenceTest, CurrentFormatCarriesBlockMax) {
+/// All four engines' full rankings on `view` equal the in-memory ones.
+void ExpectEnginesMatch(const CorpusView& mem, const CorpusView& view) {
+  for (const SelectQuery& q : EquivalenceSelectQueries()) {
+    ExpectSameResults(BaselineSearch(mem, q), BaselineSearch(view, q));
+    ExpectSameResults(TypeSearch(mem, q), TypeSearch(view, q));
+    ExpectSameResults(TypeRelationSearch(mem, q),
+                      TypeRelationSearch(view, q));
+  }
+  const JoinQuery jq = EquivalenceJoinQuery();
+  ExpectSameResults(JoinSearch(mem, jq), JoinSearch(view, jq));
+}
+
+TEST_F(SnapshotEquivalenceTest, AllFourEnginesIdentical) {
+  ExpectEnginesMatch(*mem_corpus_, *snap_->corpus());
+}
+
+TEST_F(SnapshotEquivalenceTest, CurrentFormatCarriesMatchSupport) {
   EXPECT_EQ(snap_->version_minor(), storage::kFormatVersionMinor);
-  EXPECT_TRUE(snap_->corpus()->has_block_max());
   EXPECT_TRUE(snap_->corpus()->HasMatchSupport());
 }
 
-TEST_F(SnapshotEquivalenceTest, LegacySnapshotWithoutBlockMaxStillSearches) {
-  // Pre-minor-1 files carry no block-max section. They must keep
+TEST_F(SnapshotEquivalenceTest,
+       LegacySnapshotWithoutMatchSupportStillSearches) {
+  // Pre-minor-1 files carry no match-support section. They must keep
   // opening (with a one-time warning), report no match support, and
-  // produce the same rankings — the engines just cannot prune, so the
-  // pruned top-k path must still equal the full ranking's prefix.
+  // produce the same rankings — the engines just cannot refine their
+  // bounds, so the pruned top-k path must still equal the full
+  // ranking's prefix.
   const World& world = SharedWorld();
-  std::string path = ::testing::TempDir() + "/legacy_no_blockmax.snap";
+  std::string path = ::testing::TempDir() + "/legacy_no_match_support.snap";
   SnapshotBuilder builder;
-  builder.SetCatalog(&world.catalog)
-      .SetCorpus(mem_corpus_)
-      .SetWriteBlockMax(false);
-  WEBTAB_CHECK_OK(builder.WriteToFile(path));
+  builder.SetCatalog(&world.catalog).SetCorpus(mem_corpus_);
+  std::vector<uint8_t> bytes;
+  WEBTAB_CHECK_OK(builder.WriteTo(&bytes));
+  DropMatchSupportSection(&bytes);
+  WriteBytes(path, bytes);
   Result<Snapshot> legacy = Snapshot::OpenValidated(path);
   ASSERT_TRUE(legacy.ok()) << legacy.status().ToString();
   EXPECT_EQ(legacy->version_minor(), 0u);
   ASSERT_NE(legacy->corpus(), nullptr);
-  EXPECT_FALSE(legacy->corpus()->has_block_max());
   EXPECT_FALSE(legacy->corpus()->HasMatchSupport());
 
   const CorpusView& lv = *legacy->corpus();
@@ -280,6 +340,48 @@ TEST_F(SnapshotEquivalenceTest, LegacySnapshotWithoutBlockMaxStillSearches) {
   for (size_t i = 0; i < pruned.size(); ++i) {
     EXPECT_EQ(pruned[i].entity, full[i].entity);
   }
+  std::remove(path.c_str());
+}
+
+TEST_F(SnapshotEquivalenceTest, ReservedMatchSupportFieldsAreIgnored) {
+  // Files written while the match-support header's reserved fields held
+  // per-posting-list block summaries must open and answer exactly like
+  // current ones: no reader may look at those fields.
+  std::string path = ::testing::TempDir() + "/reserved_garbage.snap";
+  SnapshotBuilder builder;
+  builder.SetCatalog(&SharedWorld().catalog).SetCorpus(mem_corpus_);
+  std::vector<uint8_t> bytes;
+  WEBTAB_CHECK_OK(builder.WriteTo(&bytes));
+  ScribbleReservedFields(&bytes);
+  WriteBytes(path, bytes);
+  Result<Snapshot> scribbled = Snapshot::OpenValidated(path);
+  ASSERT_TRUE(scribbled.ok()) << scribbled.status().ToString();
+  EXPECT_EQ(scribbled->version_minor(), storage::kFormatVersionMinor);
+  ASSERT_NE(scribbled->corpus(), nullptr);
+  const CorpusView& sv = *scribbled->corpus();
+  EXPECT_TRUE(sv.HasMatchSupport());
+  ExpectEnginesMatch(*mem_corpus_, sv);
+
+  // The pruned top-k paths read the match-support index too.
+  SearchWorkspace ws;
+  std::vector<SearchResult> want, got;
+  const TopKOptions topk{5, true};
+  for (const SelectQuery& q : EquivalenceSelectQueries()) {
+    NormalizedSelectQuery nq = NormalizeSelectQuery(q);
+    BaselineSearch(*mem_corpus_, q, nq, topk, &ws, &want);
+    BaselineSearch(sv, q, nq, topk, &ws, &got);
+    ExpectSameResults(want, got);
+    TypeSearch(*mem_corpus_, q, nq, topk, &ws, &want);
+    TypeSearch(sv, q, nq, topk, &ws, &got);
+    ExpectSameResults(want, got);
+    TypeRelationSearch(*mem_corpus_, q, nq, topk, &ws, &want);
+    TypeRelationSearch(sv, q, nq, topk, &ws, &got);
+    ExpectSameResults(want, got);
+  }
+  const JoinQuery jq = EquivalenceJoinQuery();
+  JoinSearch(*mem_corpus_, jq, topk, &ws, &want);
+  JoinSearch(sv, jq, topk, &ws, &got);
+  ExpectSameResults(want, got);
   std::remove(path.c_str());
 }
 

@@ -43,8 +43,8 @@ const char* SectionKindName(uint32_t kind) {
       return "lemma-index";
     case storage::kCorpusSection:
       return "corpus";
-    case storage::kBlockMaxSection:
-      return "block-max";
+    case storage::kMatchSupportSection:
+      return "match-support";
     default:
       return "unknown";
   }
@@ -111,7 +111,7 @@ int Inspect(const std::string& path) {
               static_cast<unsigned long long>(snap->file_size()),
               static_cast<unsigned long long>(snap->checksum()));
   for (const Snapshot::SectionInfo& info : snap->sections()) {
-    std::printf("  section %-12s offset %-10llu size %llu\n",
+    std::printf("  section %-13s offset %-10llu size %llu\n",
                 SectionKindName(info.kind),
                 static_cast<unsigned long long>(info.offset),
                 static_cast<unsigned long long>(info.size));
@@ -137,39 +137,9 @@ int Inspect(const std::string& path) {
                 static_cast<long long>(v.num_tables()),
                 static_cast<long long>(cells));
     const storage::SnapshotCorpusView& sv = *snap->corpus();
-    if (sv.has_block_max()) {
-      static const char* const kListNames[] = {"header", "context", "type",
-                                               "relation", "entity"};
-      int64_t total_blocks = 0;
-      // Power-of-two histogram over each block's declared max_bound:
-      // bucket b counts blocks with bound in [2^b, 2^(b+1)).
-      int64_t histogram[16] = {0};
-      std::printf("  block-max:");
-      for (int list = 0; list < storage::SnapshotCorpusView::kNumBlockLists;
-           ++list) {
-        PostingBlockSpan blocks = sv.BlockList(list);
-        total_blocks += static_cast<int64_t>(blocks.size());
-        std::printf(" %s=%lld", kListNames[list],
-                    static_cast<long long>(blocks.size()));
-        for (const PostingBlockMax& blk : blocks) {
-          int bucket = 0;
-          while ((1 << (bucket + 1)) <= blk.max_bound && bucket < 15) {
-            ++bucket;
-          }
-          ++histogram[bucket];
-        }
-      }
-      std::printf(" blocks (%lld total), %lld cell tokens\n",
-                  static_cast<long long>(total_blocks),
+    if (sv.HasMatchSupport()) {
+      std::printf("  match support: %lld cell tokens\n",
                   static_cast<long long>(sv.num_cell_tokens()));
-      std::printf("  block bound histogram (log2 buckets):");
-      for (int b = 0; b < 16; ++b) {
-        if (histogram[b] > 0) {
-          std::printf(" [%d,%d):%lld", 1 << b, 1 << (b + 1),
-                      static_cast<long long>(histogram[b]));
-        }
-      }
-      std::printf("\n");
     }
   }
   return 0;
