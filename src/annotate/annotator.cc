@@ -138,14 +138,11 @@ void TableAnnotator::ApplyUniqueConstraint(const Table& table,
     for (int r = 0; r < table.rows(); ++r) {
       const auto& domain = space.EntityDomain(r, c);
       domains[r] = domain;
-      scores[r].resize(domain.size(), 0.0);
+      features_.Phi1Logs(options_.weights, table.cell(r, c), domain,
+                         &scores[r]);
+      if (t == kNa) continue;
       for (size_t l = 1; l < domain.size(); ++l) {
-        scores[r][l] =
-            features_.Phi1Log(options_.weights, table.cell(r, c),
-                              domain[l]) +
-            (t != kNa
-                 ? features_.Phi3Log(options_.weights, t, domain[l])
-                 : 0.0);
+        scores[r][l] += features_.Phi3Log(options_.weights, t, domain[l]);
       }
     }
     std::vector<int> labels = AssignUniqueEntities(domains, scores);

@@ -100,6 +100,12 @@ std::vector<AnnotatedTable> AnnotateCorpusParallel(
   collected.bp_iteration_counts.assign(tables.size(), 0);
   std::vector<WorkerStats> worker_stats(num_threads);
 
+  // Type closures are computed once here and copied into each worker,
+  // as the serving layer does per snapshot, instead of every worker
+  // warming its own.
+  ClosureCache prototype(catalog);
+  prototype.PrecomputeTypeClosures();
+
   std::atomic<size_t> next{0};
   auto worker = [&](int worker_id) {
     // Private vocabulary: similarity features intern query tokens, and
@@ -109,6 +115,7 @@ std::vector<AnnotatedTable> AnnotateCorpusParallel(
     // stay in the shared mapping.
     Vocabulary vocab = index->CopyVocabulary();
     TableAnnotator annotator(catalog, index, options.annotator, &vocab);
+    annotator.closure()->SeedFrom(prototype);
     WorkerStats* local = &worker_stats[worker_id];
     while (true) {
       const size_t i = next.fetch_add(1, std::memory_order_relaxed);

@@ -49,8 +49,10 @@ struct CorpusAnnotatorOptions {
   /// caches, similarity scratch, BP + column-probe workspaces) and a
   /// private Vocabulary copy — similarity probes intern query tokens,
   /// so sharing the index's vocabulary across threads would race. The
-  /// shared Catalog and LemmaIndex are only read. Output order and
-  /// annotations are identical regardless of thread count.
+  /// type closures are computed once per call and copied into every
+  /// worker's closure cache. The shared Catalog and LemmaIndex are only
+  /// read. Output order and annotations are identical regardless of
+  /// thread count.
   int num_threads = 1;
 };
 

@@ -67,6 +67,24 @@ const std::unordered_map<TypeId, int>& ClosureCache::AncestorDistances(
   return ancestor_dists_.emplace(e, std::move(dists)).first->second;
 }
 
+int32_t ClosureCache::DirectTypeSetId(EntityId e) {
+  if (type_set_of_entity_.empty()) {
+    type_set_of_entity_.assign(catalog_->num_entities(), -1);
+  }
+  int32_t& id = type_set_of_entity_[e];
+  if (id < 0) {
+    const std::span<const TypeId> direct = catalog_->EntityDirectTypes(e);
+    std::vector<TypeId> set(direct.begin(), direct.end());
+    std::sort(set.begin(), set.end());
+    set.erase(std::unique(set.begin(), set.end()), set.end());
+    id = type_set_ids_
+             .emplace(std::move(set),
+                      static_cast<int32_t>(type_set_ids_.size()))
+             .first->second;
+  }
+  return id;
+}
+
 const std::vector<TypeId>& ClosureCache::TypeAncestors(EntityId e) {
   auto it = ancestors_.find(e);
   if (it != ancestors_.end()) return it->second;

@@ -1,6 +1,7 @@
 #ifndef WEBTAB_CATALOG_CLOSURE_H_
 #define WEBTAB_CATALOG_CLOSURE_H_
 
+#include <map>
 #include <unordered_map>
 #include <vector>
 
@@ -52,6 +53,13 @@ class ClosureCache {
   /// as 1). Types not present are unreachable.
   const std::unordered_map<TypeId, int>& AncestorDistances(EntityId e);
 
+  /// Dense id of E's direct-type set, sorted and de-duplicated: two
+  /// entities get the same id iff their sets are equal. AncestorDistances
+  /// is a BFS from the direct types and MinDirectTypeOverlap a min over
+  /// them, so everything f3 reads of E is a function of this id. Ids are
+  /// assigned lazily, at most one per entity, and not copied by SeedFrom.
+  int32_t DirectTypeSetId(EntityId e);
+
   /// dist(E, T); kUnreachable when E ∉+ T.
   int Dist(EntityId e, TypeId t);
 
@@ -102,6 +110,9 @@ class ClosureCache {
   std::unordered_map<TypeId, int> min_entity_dist_;
   /// (t_prime << 32 | t) -> TypeOverlapRatio(t_prime, t).
   std::unordered_map<uint64_t, double> type_overlap_;
+  /// Entity -> DirectTypeSetId, -1 until asked; and set -> id.
+  std::vector<int32_t> type_set_of_entity_;
+  std::map<std::vector<TypeId>, int32_t> type_set_ids_;
 };
 
 }  // namespace webtab

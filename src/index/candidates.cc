@@ -4,6 +4,7 @@
 #include <functional>
 
 #include "obs/metrics.h"
+#include "obs/trace.h"
 
 namespace webtab {
 
@@ -27,6 +28,7 @@ TableCandidates GenerateCandidates(const Table& table,
   // relation phases below work over distinct cells instead of rows.
   ws->columns.resize(table.cols());
   const int64_t walked_before = ws->batch.postings_walked();
+  obs::TraceSpan probe_span("annotate.probe");
   for (int c = 0; c < table.cols(); ++c) {
     CandidateWorkspace::ColumnDistincts& col = ws->columns[c];
     col.num_distinct = 0;
@@ -66,6 +68,8 @@ TableCandidates GenerateCandidates(const Table& table,
   // type within one distinct cell. Integer adds commute and the final
   // sort is a total order, so the output matches the old set+hash-map
   // path exactly.
+  probe_span.End();
+  obs::TraceSpan type_support_span("annotate.type_support");
   const CatalogView& catalog = closure->catalog();
   const int32_t num_types = catalog.num_types();
   if (static_cast<int32_t>(ws->type_support.size()) < num_types) {
@@ -128,6 +132,8 @@ TableCandidates GenerateCandidates(const Table& table,
   // backend's index in place (no per-call vector), and votes accumulate
   // in a dense rel*2+swapped array under the stamp discipline; the
   // ranked sort is a total order, so output matches the std::map path.
+  type_support_span.End();
+  obs::TraceSpan relation_votes_span("annotate.relation_votes");
   const int32_t num_rel_keys = catalog.num_relations() * 2;
   if (static_cast<int32_t>(ws->rel_votes.size()) < num_rel_keys) {
     ws->rel_votes.resize(num_rel_keys, 0);
@@ -204,6 +210,8 @@ TableCandidates GenerateCandidates(const Table& table,
       for (int i = 0; i < keep; ++i) list.push_back(ws->rel_ranked[i].first);
     }
   }
+
+  relation_votes_span.End();
 
   // Per-table accounting (the candidate stage dominates annotation cost
   // — the paper's Figure 7); shard-local adds, once per table, so the

@@ -261,33 +261,32 @@ TableGraph BuildTableGraph(const Table& table, const TableLabelSpace& space,
   tg.entity_var.assign(table.rows(), std::vector<int>(table.cols(), -1));
   tg.type_var.assign(table.cols(), -1);
 
-  // --- Variables + node potentials. ---
-  obs::TraceSpan node_span("annotate.node_potentials");
+  // --- Variables + node potentials: φ2 per column, φ1 per cell, each
+  // header or cell text prepared once for its whole domain. ---
+  obs::TraceSpan phi2_span("annotate.phi2");
   for (int c = 0; c < table.cols(); ++c) {
     const auto& domain = space.TypeDomain(c);
     if (domain.size() <= 1) continue;
     int v = tg.graph.AddVariable(static_cast<int>(domain.size()));
     tg.type_var[c] = v;
-    std::vector<double> pot(domain.size(), 0.0);
-    for (size_t l = 1; l < domain.size(); ++l) {
-      pot[l] = features->Phi2Log(w, table.header(c), domain[l]);
-    }
+    std::vector<double> pot;
+    features->Phi2Logs(w, table.header(c), domain, &pot);
     tg.graph.SetNodeLogPotential(v, std::move(pot));
   }
+  phi2_span.End();
+  obs::TraceSpan phi1_span("annotate.phi1");
   for (int r = 0; r < table.rows(); ++r) {
     for (int c = 0; c < table.cols(); ++c) {
       const auto& domain = space.EntityDomain(r, c);
       if (domain.size() <= 1) continue;
       int v = tg.graph.AddVariable(static_cast<int>(domain.size()));
       tg.entity_var[r][c] = v;
-      std::vector<double> pot(domain.size(), 0.0);
-      for (size_t l = 1; l < domain.size(); ++l) {
-        pot[l] = features->Phi1Log(w, table.cell(r, c), domain[l]);
-      }
+      std::vector<double> pot;
+      features->Phi1Logs(w, table.cell(r, c), domain, &pot);
       tg.graph.SetNodeLogPotential(v, std::move(pot));
     }
   }
-  node_span.End();
+  phi1_span.End();
 
   // --- φ3 factors: (type_c, entity_rc). ---
   obs::TraceSpan phi3_span("annotate.phi3");

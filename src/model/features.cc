@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <span>
 
 #include "catalog/relatedness.h"
@@ -26,25 +27,30 @@ double Dot(const std::vector<double>& w, const std::array<double, N>& f) {
 /// doubles (streaming max over the same per-lemma values in the same
 /// order). `lemma_at(i)` yields the i-th lemma as a string_view so both
 /// catalog backends (heap records and mmap'd string arenas) feed the
-/// same code. The scratch compacts (when over budget) only here, before
-/// the query is prepared, so prepared ids stay valid through the loop.
+/// same code; it is read only when the lemma's slot is empty. The text
+/// is prepared before its first lemma, as the direct calls intern it.
 template <size_t N, typename LemmaAt>
-void BundleSimilarityFeatures(SimilarityScratch* scratch,
-                              std::string_view text, int32_t num_lemmas,
-                              LemmaAt lemma_at, std::array<double, N>* out) {
+std::array<double, N> BundleSimilarityFeatures(SimilarityScratch* scratch,
+                                               std::string_view text,
+                                               int32_t* query,
+                                               int32_t first_slot,
+                                               int32_t num_lemmas,
+                                               LemmaAt lemma_at) {
   static_assert(N >= 6);
-  scratch->MaybeCompact();
-  const int32_t query = scratch->Prepare(text);
+  std::array<double, N> out{};
+  if (num_lemmas > 0 && *query < 0) *query = scratch->Prepare(text);
   for (int32_t i = 0; i < num_lemmas; ++i) {
-    int32_t lemma = scratch->Prepare(lemma_at(i));
-    const auto m = scratch->Measures(query, lemma);
-    (*out)[0] = std::max((*out)[0], m[SimilarityScratch::kCosine]);
-    (*out)[1] = std::max((*out)[1], m[SimilarityScratch::kJaccard]);
-    (*out)[2] = std::max((*out)[2], m[SimilarityScratch::kDice]);
-    (*out)[3] = std::max((*out)[3], m[SimilarityScratch::kSoftTfIdf]);
-    if (m[SimilarityScratch::kExact] == 1.0) (*out)[4] = 1.0;
+    const int32_t lemma =
+        scratch->PrepareSlot(first_slot + i, [&] { return lemma_at(i); });
+    const auto m = scratch->Measures(*query, lemma);
+    out[0] = std::max(out[0], m[SimilarityScratch::kCosine]);
+    out[1] = std::max(out[1], m[SimilarityScratch::kJaccard]);
+    out[2] = std::max(out[2], m[SimilarityScratch::kDice]);
+    out[3] = std::max(out[3], m[SimilarityScratch::kSoftTfIdf]);
+    if (m[SimilarityScratch::kExact] == 1.0) out[4] = 1.0;
   }
-  (*out)[5] = 1.0;  // Bias: fires on any non-na label.
+  out[5] = 1.0;  // Bias: fires on any non-na label.
+  return out;
 }
 
 }  // namespace
@@ -56,45 +62,62 @@ FeatureComputer::FeatureComputer(ClosureCache* closure, Vocabulary* vocab,
       similarity_(vocab) {
   WEBTAB_CHECK(closure != nullptr);
   WEBTAB_CHECK(vocab != nullptr);
+  const CatalogView& cat = catalog();
+  const int32_t num_entities = cat.num_entities();
+  const int32_t num_types = cat.num_types();
+  lemma_start_.resize(static_cast<size_t>(num_entities) + num_types);
+  int64_t slots = 0;
+  for (int32_t e = 0; e < num_entities; ++e) {
+    lemma_start_[e] = static_cast<int32_t>(slots);
+    slots += cat.NumEntityLemmas(e);
+  }
+  for (int32_t t = 0; t < num_types; ++t) {
+    lemma_start_[static_cast<size_t>(num_entities) + t] =
+        static_cast<int32_t>(slots);
+    slots += cat.NumTypeLemmas(t);
+  }
+  WEBTAB_CHECK(slots <= std::numeric_limits<int32_t>::max());
+  similarity_.ResizeSlots(static_cast<size_t>(slots));
+}
+
+std::array<double, kF1Size> FeatureComputer::EntityFeatures(
+    std::string_view text, int32_t* query, EntityId e) const {
+  const CatalogView& cat = catalog();
+  return BundleSimilarityFeatures<kF1Size>(
+      &similarity_, text, query, lemma_start_[e], cat.NumEntityLemmas(e),
+      [&](int32_t i) { return cat.EntityLemma(e, i); });
+}
+
+std::array<double, kF2Size> FeatureComputer::TypeFeatures(
+    std::string_view text, int32_t* query, TypeId t) const {
+  if (text.empty()) {
+    // Headers may be omitted (§4.2.2): only the bias fires so that a type
+    // label is still possible on headerless tables.
+    std::array<double, kF2Size> f{};
+    f[5] = 1.0;
+    return f;
+  }
+  const CatalogView& cat = catalog();
+  return BundleSimilarityFeatures<kF2Size>(
+      &similarity_, text, query,
+      lemma_start_[static_cast<size_t>(cat.num_entities()) + t],
+      cat.NumTypeLemmas(t), [&](int32_t i) { return cat.TypeLemma(t, i); });
 }
 
 std::array<double, kF1Size> FeatureComputer::F1(std::string_view cell_text,
                                                 EntityId e) const {
-  std::array<double, kF1Size> f{};
-  if (e == kNa) return f;
-  const CatalogView& cat = catalog();
-  const int32_t n = cat.NumEntityLemmas(e);
-  if (n == 0) {
-    // No lemmas: only the bias fires, and no query tokens are interned.
-    f[5] = 1.0;
-    return f;
-  }
-  BundleSimilarityFeatures(
-      &similarity_, cell_text, n,
-      [&](int32_t i) { return cat.EntityLemma(e, i); }, &f);
-  return f;
+  if (e == kNa) return {};
+  similarity_.MaybeCompact();
+  int32_t query = -1;
+  return EntityFeatures(cell_text, &query, e);
 }
 
 std::array<double, kF2Size> FeatureComputer::F2(std::string_view header_text,
                                                 TypeId t) const {
-  std::array<double, kF2Size> f{};
-  if (t == kNa) return f;
-  if (header_text.empty()) {
-    // Headers may be omitted (§4.2.2): only the bias fires so that a type
-    // label is still possible on headerless tables.
-    f[5] = 1.0;
-    return f;
-  }
-  const CatalogView& cat = catalog();
-  const int32_t n = cat.NumTypeLemmas(t);
-  if (n == 0) {
-    f[5] = 1.0;
-    return f;
-  }
-  BundleSimilarityFeatures(
-      &similarity_, header_text, n,
-      [&](int32_t i) { return cat.TypeLemma(t, i); }, &f);
-  return f;
+  if (t == kNa) return {};
+  similarity_.MaybeCompact();
+  int32_t query = -1;
+  return TypeFeatures(header_text, &query, t);
 }
 
 std::array<double, kF3Size> FeatureComputer::F3(TypeId t, EntityId e) {
@@ -236,6 +259,31 @@ double FeatureComputer::Phi2Log(const Weights& w,
   return Dot(w.w2, F2(header_text, t));
 }
 
+void FeatureComputer::Phi1Logs(const Weights& w, std::string_view cell_text,
+                               const std::vector<EntityId>& ents,
+                               std::vector<double>* out) const {
+  out->assign(ents.size(), 0.0);
+  similarity_.MaybeCompact();
+  int32_t query = -1;
+  for (size_t l = 0; l < ents.size(); ++l) {
+    if (ents[l] == kNa) continue;
+    (*out)[l] = Dot(w.w1, EntityFeatures(cell_text, &query, ents[l]));
+  }
+}
+
+void FeatureComputer::Phi2Logs(const Weights& w,
+                               std::string_view header_text,
+                               const std::vector<TypeId>& types,
+                               std::vector<double>* out) const {
+  out->assign(types.size(), 0.0);
+  similarity_.MaybeCompact();
+  int32_t query = -1;
+  for (size_t l = 0; l < types.size(); ++l) {
+    if (types[l] == kNa) continue;
+    (*out)[l] = Dot(w.w2, TypeFeatures(header_text, &query, types[l]));
+  }
+}
+
 double FeatureComputer::Phi3Log(const Weights& w, TypeId t, EntityId e) {
   if (t == kNa || e == kNa) return 0.0;
   return Dot(w.w3, F3(t, e));
@@ -269,7 +317,7 @@ Phi3Column::Phi3Column(FeatureComputer* features, const Weights& w,
 
 const double* Phi3Column::OverlapRow(TypeId t_prime) {
   auto [it, inserted] =
-      overlap_row_of_.emplace(t_prime, overlap_rows_.size());
+      overlap_row_of_.try_emplace(t_prime, overlap_rows_.size());
   if (inserted) {
     ClosureCache* closure = features_->closure();
     overlap_rows_.push_back(0.0);  // na column.
@@ -280,37 +328,49 @@ const double* Phi3Column::OverlapRow(TypeId t_prime) {
   return overlap_rows_.data() + it->second;
 }
 
+const double* Phi3Column::Row(EntityId e) {
+  ClosureCache* closure = features_->closure();
+  auto [it, inserted] =
+      row_of_set_.try_emplace(closure->DirectTypeSetId(e), rows_.size());
+  if (!inserted) return rows_.data() + it->second;
+
+  // dist(e, T) for every column type, from e's few ancestors rather
+  // than one distance-map probe per type.
+  std::fill(dist_.begin(), dist_.end(), kUnreachable);
+  for (const auto& [t, d] : closure->AncestorDistances(e)) {
+    auto found = index_of_type_.find(t);
+    if (found != index_of_type_.end()) dist_[found->second] = d;
+  }
+  if (features_->options().use_missing_link) {
+    // MinDirectTypeOverlap for every column type, over rows shared by
+    // every candidate with the same direct type.
+    const std::span<const TypeId> direct =
+        features_->catalog().EntityDirectTypes(e);
+    std::fill(min_overlap_.begin(), min_overlap_.end(),
+              direct.empty() ? 0.0 : 1.0);
+    for (TypeId t_prime : direct) {
+      const double* row = OverlapRow(t_prime);
+      for (size_t lt = 1; lt < types_.size(); ++lt) {
+        min_overlap_[lt] = std::min(min_overlap_[lt], row[lt]);
+      }
+    }
+  }
+  rows_.push_back(0.0);  // na row.
+  for (size_t lt = 1; lt < types_.size(); ++lt) {
+    rows_.push_back(
+        Dot(w_.w3, features_->F3(terms_[lt], dist_[lt], min_overlap_[lt])));
+  }
+  return rows_.data() + it->second;
+}
+
 void Phi3Column::FillTable(const std::vector<EntityId>& ents,
                            std::vector<double>* tab) {
   const size_t n = ents.size();
   tab->assign(types_.size() * n, 0.0);
-  ClosureCache* closure = features_->closure();
-  const bool missing_link = features_->options().use_missing_link;
   for (size_t le = 1; le < n; ++le) {
-    // dist(e, T) for every column type, from e's few ancestors rather
-    // than one distance-map probe per type.
-    std::fill(dist_.begin(), dist_.end(), kUnreachable);
-    for (const auto& [t, d] : closure->AncestorDistances(ents[le])) {
-      auto it = index_of_type_.find(t);
-      if (it != index_of_type_.end()) dist_[it->second] = d;
-    }
-    if (missing_link) {
-      // MinDirectTypeOverlap for every column type, over rows shared by
-      // every candidate with the same direct type.
-      const std::span<const TypeId> direct =
-          features_->catalog().EntityDirectTypes(ents[le]);
-      std::fill(min_overlap_.begin(), min_overlap_.end(),
-                direct.empty() ? 0.0 : 1.0);
-      for (TypeId t_prime : direct) {
-        const double* row = OverlapRow(t_prime);
-        for (size_t lt = 1; lt < types_.size(); ++lt) {
-          min_overlap_[lt] = std::min(min_overlap_[lt], row[lt]);
-        }
-      }
-    }
+    const double* row = Row(ents[le]);
     for (size_t lt = 1; lt < types_.size(); ++lt) {
-      (*tab)[lt * n + le] =
-          Dot(w_.w3, features_->F3(terms_[lt], dist_[lt], min_overlap_[lt]));
+      (*tab)[lt * n + le] = row[lt];
     }
   }
 }

@@ -70,6 +70,20 @@ class FeatureComputer {
       const;
   double Phi2Log(const Weights& w, std::string_view header_text, TypeId t)
       const;
+
+  /// Phi1Log(w, cell_text, ents[l]) into (*out)[l] for every label of a
+  /// cell's domain (na scores 0), with the cell prepared once for the
+  /// whole domain instead of once per entity. `out` is resized to
+  /// ents.size(). Bit-identical to the per-entity calls.
+  void Phi1Logs(const Weights& w, std::string_view cell_text,
+                const std::vector<EntityId>& ents,
+                std::vector<double>* out) const;
+
+  /// Phi2Log(w, header_text, types[l]) for every label of a column's
+  /// type domain, likewise.
+  void Phi2Logs(const Weights& w, std::string_view header_text,
+                const std::vector<TypeId>& types,
+                std::vector<double>* out) const;
   double Phi3Log(const Weights& w, TypeId t, EntityId e);
   double Phi4Log(const Weights& w, const RelationCandidate& b, TypeId t1,
                  TypeId t2);
@@ -100,30 +114,52 @@ class FeatureComputer {
   std::array<double, kF3Size> F3(const F3TypeTerms& terms, int dist,
                                  double min_overlap) const;
 
+  /// f1 of entity e (not na) against a text whose prepared id is
+  /// `*query`; prepares the text into `*query` when that is -1 and e
+  /// has a lemma, so a lemma-less domain interns nothing. The one f1
+  /// kernel: F1, Phi1Log and Phi1Logs all come here.
+  std::array<double, kF1Size> EntityFeatures(std::string_view text,
+                                             int32_t* query,
+                                             EntityId e) const;
+  /// f2 of type t (not na) against a header, likewise; an empty header
+  /// fires only the bias.
+  std::array<double, kF2Size> TypeFeatures(std::string_view text,
+                                           int32_t* query, TypeId t) const;
+
   ClosureCache* closure_;
   FeatureOptions options_;
 
   // Cache: (rel, t, role) -> participation fraction.
   std::unordered_map<uint64_t, double> participation_cache_;
 
-  /// Prepared strings + Jaro-Winkler token memo behind F1/F2: each
-  /// distinct string is prepared once and Jaro-Winkler memoized per
-  /// token pair, bit-identical to the direct similarity calls (asserted
-  /// in tests/candidate_equivalence_test.cc). There is no memo per
-  /// (string, label) pair or per f1/f2 vector: its memory grew with the
-  /// tables a worker served, and fresh tables rarely repeat a pair, so
-  /// it bought no latency. Mutable: F1/F2 are logically const lookups
-  /// (the computer is documented single-worker, not thread-safe).
+  /// Prepared strings behind F1/F2, bit-identical to the direct
+  /// similarity calls (asserted in tests/candidate_equivalence_test.cc).
+  /// A cell or header is prepared once per call (once per domain in
+  /// Phi1Logs/Phi2Logs) and looked up by text; a catalog lemma is
+  /// prepared once per compaction and found through its slot. There is
+  /// no memo per (string, label) pair or per f1/f2 vector: its memory
+  /// grew with the tables a worker served, and fresh tables rarely
+  /// repeat a pair, so it bought no latency. The scratch compacts only
+  /// at the start of a call, so prepared ids stay valid through it.
+  /// Mutable: F1/F2 are logically const lookups (the computer is
+  /// documented single-worker, not thread-safe).
   mutable SimilarityScratch similarity_;
+  /// Similarity slots of the catalog's lemmas, CSR style: entity e's
+  /// i-th lemma is slot lemma_start_[e] + i, and type t's is
+  /// lemma_start_[num_entities + t] + i. Sized by the catalog.
+  std::vector<int32_t> lemma_start_;
 };
 
 /// φ3 log-potentials of one column's type domain against its cells'
 /// candidate entities, with the work that per-pair Phi3Log repeats
 /// hoisted out: the T-only terms once per column, the type-overlap
 /// ratios once per (column, direct type of some candidate), and each
-/// entity's ancestor distances once per cell. Values equal Phi3Log bit
-/// for bit (both go through FeatureComputer's one f3 definition and the
-/// same dot product). Lives for one column of one table build.
+/// entity's row over the column's types once per (column, direct-type
+/// set). An entity's row depends on it only through its direct-type set
+/// (ClosureCache::DirectTypeSetId), so every later candidate with the
+/// same set copies the row. Values equal Phi3Log bit for bit (both go
+/// through FeatureComputer's one f3 definition and the same dot
+/// product). Lives for one column of one table build.
 class Phi3Column {
  public:
   /// `features`, `w` and `types` (a type domain, [0] == na) must
@@ -135,10 +171,18 @@ class Phi3Column {
   /// Phi3Log(w, types[lt], ents[le]); the na row and column are 0.
   void FillTable(const std::vector<EntityId>& ents, std::vector<double>* tab);
 
+  /// Rows computed so far: distinct direct-type sets among the
+  /// candidates filled.
+  size_t num_rows() const { return row_of_set_.size(); }
+
  private:
   /// TypeOverlapRatio(t_prime, types[lt]) for every lt, memoized per
   /// column. Valid until the next call.
   const double* OverlapRow(TypeId t_prime);
+
+  /// Phi3Log(w, types[lt], e) for every lt ([0] = 0), computed on the
+  /// first candidate with e's direct-type set. Valid until the next call.
+  const double* Row(EntityId e);
 
   FeatureComputer* features_;
   const Weights& w_;
@@ -147,7 +191,10 @@ class Phi3Column {
   std::unordered_map<TypeId, int> index_of_type_;
   std::unordered_map<TypeId, size_t> overlap_row_of_;
   std::vector<double> overlap_rows_;
-  // Per-entity scratch over the column's types.
+  /// DirectTypeSetId -> offset of its row in rows_.
+  std::unordered_map<int32_t, size_t> row_of_set_;
+  std::vector<double> rows_;
+  // Per-row scratch over the column's types.
   std::vector<int> dist_;
   std::vector<double> min_overlap_;
 };

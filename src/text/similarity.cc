@@ -117,6 +117,48 @@ double JaroWinkler(std::string_view a_raw, std::string_view b_raw) {
   return jaro + prefix * 0.1 * (1.0 - jaro);
 }
 
+JaroWinklerSignature MakeJaroWinklerSignature(std::string_view token) {
+  JaroWinklerSignature sig;
+  if (token.size() > 255) return sig;
+  sig.length = static_cast<uint8_t>(token.size());
+  for (size_t i = 0; i < token.size(); ++i) {
+    const char c = token[i];
+    int lane;
+    if (c >= '0' && c <= '9') {
+      lane = c - '0';
+    } else if (c >= 'a' && c <= 'z') {
+      lane = 10 + (c - 'a');
+    } else {
+      return JaroWinklerSignature{};
+    }
+    ++sig.counts[lane];
+    if (i < sig.prefix.size()) sig.prefix[i] = c;
+  }
+  sig.screenable = true;
+  return sig;
+}
+
+bool JaroWinklerBelowNineTenths(const JaroWinklerSignature& a,
+                                const JaroWinklerSignature& b) {
+  if (!a.screenable || !b.screenable) return false;
+  const int la = a.length;
+  const int lb = b.length;
+  int prefix = 0;
+  for (int i = 0; i < std::min({la, lb, 4}); ++i) {
+    if (a.prefix[i] != b.prefix[i]) break;
+    ++prefix;
+  }
+  const int per_match = (la + lb) * (10 - prefix);
+  const int limit = (17 - 2 * prefix) * la * lb;
+  // M ≤ min(|a|, |b|): lengths alone often settle it.
+  if (std::min(la, lb) * per_match < limit) return true;
+  int matches = 0;
+  for (int c = 0; c < JaroWinklerSignature::kLanes; ++c) {
+    matches += a.counts[c] < b.counts[c] ? a.counts[c] : b.counts[c];
+  }
+  return matches * per_match < limit;
+}
+
 double TfIdfCosine(std::string_view a, std::string_view b,
                    Vocabulary* vocab) {
   return TfIdfVector::Make(a, vocab).Cosine(TfIdfVector::Make(b, vocab));

@@ -16,8 +16,9 @@ std::vector<SoftWeightedToken> SoftTfIdfWeights(std::string_view text,
   std::vector<SoftWeightedToken> out;
   double norm_sq = 0.0;
   for (auto& [tok, f] : tf) {
-    double w = f * vocab->Idf(vocab->Intern(tok));
-    out.push_back({tok, w});
+    const TokenId id = vocab->Intern(tok);
+    double w = f * vocab->Idf(id);
+    out.push_back({tok, w, id});
     norm_sq += w * w;
   }
   if (norm_sq > 0) {

@@ -16,6 +16,8 @@ namespace webtab {
 struct SoftWeightedToken {
   std::string text;
   double weight;
+  /// The token's vocabulary id (interned while weighting).
+  TokenId id;
 };
 
 /// Tokenizes `text` and computes L2-normalized TF-IDF weights, sorted by

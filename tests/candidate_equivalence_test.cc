@@ -10,6 +10,7 @@
 // similarity calls of tests/reference_features.h bit for bit.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cctype>
 #include <cstdio>
 #include <set>
@@ -301,15 +302,27 @@ TEST_F(CandidateEquivalenceTest, WorkspaceReuseAndRerunsAreStable) {
   }
 }
 
+/// Bitwise equality of two log-potential rows.
+void ExpectSameBits(const std::vector<double>& got,
+                    const std::vector<double>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t l = 0; l < got.size(); ++l) {
+    EXPECT_EQ(std::bit_cast<uint64_t>(got[l]), std::bit_cast<uint64_t>(want[l]))
+        << "label " << l << ": " << got[l] << " vs " << want[l];
+  }
+}
+
 TEST_F(CandidateEquivalenceTest, SimilarityScratchF1F2MatchReferenceBitwise) {
   // One computer threaded through every table, so the scratch's prepared
-  // strings and Jaro-Winkler memo carry over as they do in annotation.
+  // strings, token signatures and lemma slots carry over as they do in
+  // annotation.
   const World& world = SharedWorld();
   ClosureCache closure(&world.catalog);
   Vocabulary* vocab = SharedIndex().mutable_vocabulary();
   FeatureComputer features(&closure, vocab);
+  const Weights w = Weights::Default();
   CandidateOptions options;
-  size_t f1_pairs = 0, f2_pairs = 0;
+  size_t f1_pairs = 0, f2_pairs = 0, soft_pairs = 0;
   for (size_t i = 0; i < tables_->size(); ++i) {
     SCOPED_TRACE("table " + std::to_string(i));
     const Table& table = (*tables_)[i];
@@ -317,28 +330,48 @@ TEST_F(CandidateEquivalenceTest, SimilarityScratchF1F2MatchReferenceBitwise) {
         GenerateCandidates(table, SharedIndex(), &closure, options);
     for (int r = 0; r < table.rows(); ++r) {
       for (int c = 0; c < table.cols(); ++c) {
+        std::vector<EntityId> domain{kNa};
+        std::vector<double> per_label{0.0};
         for (const LemmaHit& hit : candidates.cells[r][c]) {
           // std::array equality compares every double exactly.
-          EXPECT_EQ(features.F1(table.cell(r, c), hit.id),
-                    ReferenceF1(world.catalog, vocab, table.cell(r, c),
-                                hit.id))
+          const auto f1 = features.F1(table.cell(r, c), hit.id);
+          EXPECT_EQ(f1, ReferenceF1(world.catalog, vocab, table.cell(r, c),
+                                    hit.id))
               << "cell (" << r << "," << c << ") entity " << hit.id;
           ++f1_pairs;
+          // Soft-TFIDF credits a near-miss token the cosine misses: the
+          // prescreened Jaro-Winkler path ran and counted.
+          if (f1[3] > f1[0]) ++soft_pairs;
+          domain.push_back(hit.id);
+          per_label.push_back(features.Phi1Log(w, table.cell(r, c), hit.id));
         }
+        // The per-cell row prepares the cell once for the whole domain.
+        std::vector<double> row;
+        features.Phi1Logs(w, table.cell(r, c), domain, &row);
+        ExpectSameBits(row, per_label);
       }
     }
     for (int c = 0; c < table.cols(); ++c) {
+      std::vector<TypeId> domain{kNa};
+      std::vector<double> per_label{0.0};
       for (TypeId t : candidates.column_types[c]) {
         EXPECT_EQ(features.F2(table.header(c), t),
                   ReferenceF2(world.catalog, vocab, table.header(c), t))
             << "column " << c << " type " << t;
         ++f2_pairs;
+        domain.push_back(t);
+        per_label.push_back(features.Phi2Log(w, table.header(c), t));
       }
+      std::vector<double> row;
+      features.Phi2Logs(w, table.header(c), domain, &row);
+      ExpectSameBits(row, per_label);
     }
   }
-  // Non-vacuity: the tables must exercise many label candidates.
+  // Non-vacuity: the tables must exercise many label candidates, and
+  // soft-TFIDF must beat the cosine on some of them.
   EXPECT_GT(f1_pairs, 100u);
   EXPECT_GT(f2_pairs, 100u);
+  EXPECT_GT(soft_pairs, 0u);
 }
 
 TEST_F(CandidateEquivalenceTest, SnapshotAnnotationsMatchInMemory) {

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -231,6 +232,45 @@ class MatchSupportHostileTest : public ::testing::Test {
     return {begin, end};
   }
 
+  /// The image with two cell-token postings of different tables swapped
+  /// in one token's row, checksum fixed. Match support is
+  /// binary-searched by (table, col); out-of-order rows would make
+  /// BuildMatchSupport miss live columns and engines would prune tables
+  /// that still match.
+  std::vector<uint8_t> CellTokenOrderViolation() const {
+    std::vector<uint8_t> hostile = *bytes_;
+    uint64_t section = Section();
+    auto h = ReadPod<storage::MatchSupportHeader>(hostile, section);
+    uint64_t values = section + h.cell_token_postings.values.offset;
+    uint64_t victim = static_cast<uint64_t>(-1);
+    for (uint64_t r = 0; r < h.cell_token_postings.row_ends.count; ++r) {
+      auto [begin, end] = RowRange(section, h.cell_token_postings, r);
+      for (uint64_t i = begin; i + 1 < end; ++i) {
+        auto a = ReadPod<CellTokenRef>(hostile,
+                                       values + i * sizeof(CellTokenRef));
+        auto b = ReadPod<CellTokenRef>(
+            hostile, values + (i + 1) * sizeof(CellTokenRef));
+        if (a.table != b.table) {
+          victim = i;
+          break;
+        }
+      }
+      if (victim != static_cast<uint64_t>(-1)) break;
+    }
+    WEBTAB_CHECK(victim != static_cast<uint64_t>(-1))
+        << "no token spans two tables; grow the corpus";
+    auto a = ReadPod<CellTokenRef>(hostile,
+                                   values + victim * sizeof(CellTokenRef));
+    auto b = ReadPod<CellTokenRef>(
+        hostile, values + (victim + 1) * sizeof(CellTokenRef));
+    std::memcpy(hostile.data() + values + victim * sizeof(CellTokenRef), &b,
+                sizeof(b));
+    std::memcpy(hostile.data() + values + (victim + 1) * sizeof(CellTokenRef),
+                &a, sizeof(a));
+    FixChecksum(&hostile);
+    return hostile;
+  }
+
   void ExpectValidatedRejects(const std::string& name,
                               const std::vector<uint8_t>& bytes,
                               const std::string& what) {
@@ -263,42 +303,19 @@ TEST_F(MatchSupportHostileTest, OpenValidatedAcceptsIntactFile) {
 }
 
 TEST_F(MatchSupportHostileTest, RejectsCellTokenPostingsOutOfTableOrder) {
-  // Match support is binary-searched by (table, col); out-of-order rows
-  // would make BuildMatchSupport miss live columns and engines would
-  // prune tables that still match. Swap two entries from different
-  // tables in one token's row.
-  std::vector<uint8_t> hostile = *bytes_;
-  uint64_t section = Section();
-  auto h = ReadPod<storage::MatchSupportHeader>(hostile, section);
-  uint64_t values = section + h.cell_token_postings.values.offset;
-  uint64_t victim = static_cast<uint64_t>(-1);
-  for (uint64_t r = 0; r < h.cell_token_postings.row_ends.count; ++r) {
-    auto [begin, end] = RowRange(section, h.cell_token_postings, r);
-    for (uint64_t i = begin; i + 1 < end; ++i) {
-      auto a = ReadPod<CellTokenRef>(hostile,
-                                     values + i * sizeof(CellTokenRef));
-      auto b = ReadPod<CellTokenRef>(
-          hostile, values + (i + 1) * sizeof(CellTokenRef));
-      if (a.table != b.table) {
-        victim = i;
-        break;
-      }
-    }
-    if (victim != static_cast<uint64_t>(-1)) break;
-  }
-  ASSERT_NE(victim, static_cast<uint64_t>(-1))
-      << "no token spans two tables; grow the corpus";
-  auto a = ReadPod<CellTokenRef>(hostile,
-                                 values + victim * sizeof(CellTokenRef));
-  auto b = ReadPod<CellTokenRef>(
-      hostile, values + (victim + 1) * sizeof(CellTokenRef));
-  std::memcpy(hostile.data() + values + victim * sizeof(CellTokenRef), &b,
-              sizeof(b));
-  std::memcpy(hostile.data() + values + (victim + 1) * sizeof(CellTokenRef),
-              &a, sizeof(a));
-  FixChecksum(&hostile);
-  ExpectValidatedRejects("match_support_celltoken_order.snap", hostile,
+  ExpectValidatedRejects("match_support_celltoken_order.snap",
+                         CellTokenOrderViolation(),
                          "cell token postings out of table order");
+}
+
+TEST_F(MatchSupportHostileTest, WritesDeepInvalidImageForSnapshotTool) {
+  // The setup half of a ctest fixture pair: `snapshot_tool verify` on
+  // this checksum-valid, deep-invalid image must exit nonzero.
+  const char* path = std::getenv("WEBTAB_DEEP_INVALID_SNAPSHOT");
+  if (path == nullptr) GTEST_SKIP() << "WEBTAB_DEEP_INVALID_SNAPSHOT unset";
+  WriteBytes(path, CellTokenOrderViolation());
+  EXPECT_TRUE(Snapshot::Open(path).ok());
+  EXPECT_FALSE(Snapshot::OpenValidated(path).ok());
 }
 
 TEST_F(MatchSupportHostileTest, NonPositiveMinTokensRejectedAtOpen) {

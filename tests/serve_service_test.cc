@@ -467,30 +467,36 @@ TEST_F(ServeServiceTest, AnnotateTraceStagesCoverRequestTime) {
     }
     EXPECT_TRUE(found) << want;
   }
-  // Graph build breaks down by feature family one level down; the
-  // sub-stages nest inside it, so together they take no longer.
-  const char* kGraphStages[] = {"annotate.label_space",
-                                "annotate.node_potentials", "annotate.phi3",
-                                "annotate.relations"};
-  double graph_ms = -1.0;
-  for (const auto& stage : response.trace.stages) {
-    if (std::string(stage.name) == "annotate.graph_build") {
-      graph_ms = stage.ms;
-    }
-  }
-  double graph_sub_ms = 0.0;
-  for (const char* want : kGraphStages) {
-    bool found = false;
+  // Candidates break down by stage, and graph build by feature family,
+  // one level down; the sub-stages nest inside their parent, so
+  // together they take no longer.
+  auto expect_children = [&](const char* parent,
+                             std::vector<const char*> children) {
+    double parent_ms = -1.0;
     for (const auto& stage : response.trace.stages) {
-      if (std::string(stage.name) == want) {
-        EXPECT_EQ(stage.depth, 1) << want;
-        graph_sub_ms += stage.ms;
-        found = true;
-      }
+      if (std::string(stage.name) == parent) parent_ms = stage.ms;
     }
-    EXPECT_TRUE(found) << want;
-  }
-  EXPECT_LE(graph_sub_ms, graph_ms);
+    double sub_ms = 0.0;
+    for (const char* want : children) {
+      bool found = false;
+      for (const auto& stage : response.trace.stages) {
+        if (std::string(stage.name) == want) {
+          EXPECT_EQ(stage.depth, 1) << want;
+          EXPECT_EQ(stage.count, 1) << want;
+          sub_ms += stage.ms;
+          found = true;
+        }
+      }
+      EXPECT_TRUE(found) << want;
+    }
+    EXPECT_LE(sub_ms, parent_ms) << parent;
+  };
+  expect_children("annotate.candidates",
+                  {"annotate.probe", "annotate.type_support",
+                   "annotate.relation_votes"});
+  expect_children("annotate.graph_build",
+                  {"annotate.label_space", "annotate.phi2", "annotate.phi1",
+                   "annotate.phi3", "annotate.relations"});
   int64_t phi3_pairs = 0;
   for (const auto& counter : response.trace.counters) {
     if (std::string(counter.name) == "phi3_pairs") phi3_pairs = counter.value;

@@ -4,6 +4,7 @@
 
 #include <bit>
 #include <map>
+#include <set>
 #include <utility>
 
 #include "inference/belief_propagation.h"
@@ -219,6 +220,62 @@ int64_t ExpectPhi3MatchesOracle(const CatalogView& catalog,
   return pairs;
 }
 
+/// What the φ3 oracle comparison covers: candidate entities by number
+/// of direct types, rows Phi3Column reused, and columns where two
+/// candidates share their first direct type but not their whole set —
+/// where rows keyed by anything coarser than the set would be wrong.
+struct Phi3Coverage {
+  int64_t no_types = 0;
+  int64_t one_type = 0;
+  int64_t many_types = 0;
+  int64_t fills = 0;
+  int64_t rows = 0;
+  int64_t distinct_entities_sharing_a_row = 0;
+  int64_t first_type_collisions = 0;
+};
+
+void AddPhi3Coverage(const CatalogView& catalog, Vocabulary* vocab,
+                     const Table& table, const TableLabelSpace& space,
+                     Phi3Coverage* cov) {
+  const Weights w = Weights::Default();
+  ClosureCache closure(&catalog);
+  FeatureComputer features(&closure, vocab);
+  for (int c = 0; c < table.cols(); ++c) {
+    const auto& types = space.TypeDomain(c);
+    if (types.size() <= 1) continue;
+    Phi3Column column(&features, w, types);
+    std::map<int32_t, std::set<EntityId>> entities_of_set;
+    std::map<TypeId, std::set<int32_t>> sets_of_first_type;
+    std::vector<double> tab;
+    for (int r = 0; r < table.rows(); ++r) {
+      const auto& ents = space.EntityDomain(r, c);
+      if (ents.size() <= 1) continue;
+      column.FillTable(ents, &tab);
+      for (size_t le = 1; le < ents.size(); ++le) {
+        ++cov->fills;
+        const auto direct = catalog.EntityDirectTypes(ents[le]);
+        if (direct.empty()) {
+          ++cov->no_types;
+        } else if (direct.size() == 1) {
+          ++cov->one_type;
+        } else {
+          ++cov->many_types;
+        }
+        const int32_t set = closure.DirectTypeSetId(ents[le]);
+        entities_of_set[set].insert(ents[le]);
+        if (!direct.empty()) sets_of_first_type[direct[0]].insert(set);
+      }
+    }
+    cov->rows += static_cast<int64_t>(column.num_rows());
+    for (const auto& [set, entities] : entities_of_set) {
+      if (entities.size() >= 2) ++cov->distinct_entities_sharing_a_row;
+    }
+    for (const auto& [first, sets] : sets_of_first_type) {
+      if (sets.size() >= 2) ++cov->first_type_collisions;
+    }
+  }
+}
+
 std::vector<FeatureOptions> AllPhi3Options() {
   std::vector<FeatureOptions> out;
   for (CompatMode mode : {CompatMode::kRecipSqrtDist, CompatMode::kRecipDist,
@@ -290,6 +347,10 @@ TEST(Phi3HoistingTest, EdgeCasesMatchPerPairOracle) {
                                       space, options),
               0);
   }
+  Phi3Coverage cov;
+  AddPhi3Coverage(catalog, index.vocabulary(), table, space, &cov);
+  EXPECT_GT(cov.no_types, 0);
+  EXPECT_GT(cov.one_type, 0);
 }
 
 TEST(Phi3HoistingTest, CorpusLabelSpacesMatchPerPairOracle) {
@@ -317,6 +378,20 @@ TEST(Phi3HoistingTest, CorpusLabelSpacesMatchPerPairOracle) {
     }
     EXPECT_GT(pairs, 100);
   }
+  // Non-vacuity for rows shared per direct-type set: candidates with one
+  // and with several direct types, rows copied to later candidates,
+  // distinct entities sharing a row, and first-type collisions that a
+  // coarser key would conflate.
+  Phi3Coverage cov;
+  for (size_t i = 0; i < tables.size(); ++i) {
+    AddPhi3Coverage(world.catalog, index.vocabulary(), tables[i], spaces[i],
+                    &cov);
+  }
+  EXPECT_GT(cov.one_type, 0);
+  EXPECT_GT(cov.many_types, 0);
+  EXPECT_LT(cov.rows, cov.fills);
+  EXPECT_GT(cov.distinct_entities_sharing_a_row, 0);
+  EXPECT_GT(cov.first_type_collisions, 0);
 }
 
 }  // namespace

@@ -146,15 +146,15 @@ int Inspect(const std::string& path) {
 }
 
 int Verify(const std::string& path) {
-  Snapshot::OpenOptions options;
-  options.verify_checksum = true;
-  Result<Snapshot> snap = Snapshot::Open(path, options);
+  // The same validated open serve_tool uses: checksum plus every
+  // content invariant the engines rely on.
+  Result<Snapshot> snap = Snapshot::OpenValidated(path);
   if (!snap.ok()) {
     std::printf("%s: FAILED\n", path.c_str());
     return Fail(snap.status());
   }
-  std::printf("%s: OK (%u sections, checksum verified)\n", path.c_str(),
-              static_cast<unsigned>(snap->sections().size()));
+  std::printf("%s: OK (%u sections, checksum verified, deep-validated)\n",
+              path.c_str(), static_cast<unsigned>(snap->sections().size()));
   return 0;
 }
 
