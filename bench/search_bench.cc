@@ -10,7 +10,16 @@
 // Emits BENCH_search.json with per-engine QPS and p50 latency, a
 // steady-state allocation count for the kernel path, and acceptance
 // CHECKs: >= 2x geomean on the pruned top-k path vs the reference full
-// rank, and zero steady-state allocations per query.
+// rank, and zero steady-state allocations per query. The reference and
+// the kernel are timed back to back on each query, and every gated
+// figure is a median over in-bench repetitions, so one run of the
+// bench holds bench_diff's gates.
+//
+// An ungated section then times the three select engines at the
+// serving corpus size (800 tables, Figure 9's corpus) on serving-shaped
+// queries, an E2 entity id together with its name, and reports the
+// kernel's ms per query and the `search.match_support` stage's share,
+// read from the production request trace.
 //
 //   ./search_bench --tables 240 --out BENCH_search.json
 #include <algorithm>
@@ -21,6 +30,7 @@
 #include <iostream>
 #include <new>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "annotate/corpus_annotator.h"
@@ -48,10 +58,16 @@ void* operator new(std::size_t size) {
   throw std::bad_alloc();
 }
 void* operator new[](std::size_t size) { return ::operator new(size); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+// Out of line: inlined into a caller that also inlines operator new,
+// the free() reads to GCC as a mismatched allocation pair.
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 using namespace webtab;         // NOLINT(build/namespaces)
 using namespace webtab::bench;  // NOLINT(build/namespaces)
@@ -64,18 +80,54 @@ struct Timings {
   double kernel_topk_ms = 0.0; // k=10, pruning on
   double p50_reference_ms = 0.0;
   double p50_topk_ms = 0.0;
+  /// Median over repetitions of one repetition's summed reference time
+  /// over its summed kernel top-k time.
+  double speedup = 0.0;
   int64_t stopped_early = 0;
   int64_t tables_planned = 0;
   int64_t tables_scored = 0;
-  double speedup() const {
-    return kernel_topk_ms > 0 ? reference_ms / kernel_topk_ms : 0.0;
-  }
 };
 
 double Median(std::vector<double>* samples) {
   if (samples->empty()) return 0.0;
   std::sort(samples->begin(), samples->end());
   return (*samples)[samples->size() / 2];
+}
+
+double Mean(const std::vector<double>& samples) {
+  double sum = 0.0;
+  for (double s : samples) sum += s;
+  return samples.empty() ? 0.0 : sum / samples.size();
+}
+
+/// Times `reference(i)` and `kernel(i)` back to back on every query i,
+/// `reps` times over the query list, so drift and machine state hit
+/// both sides of the ratio alike. Appends per-call ms to the sample
+/// vectors and returns the median over repetitions of the repetition's
+/// summed reference time over its summed kernel time.
+template <typename ReferenceFn, typename KernelFn>
+double InterleavedSpeedup(int64_t reps, size_t num_queries,
+                          ReferenceFn&& reference, KernelFn&& kernel,
+                          std::vector<double>* reference_samples,
+                          std::vector<double>* kernel_samples) {
+  std::vector<double> ratios;
+  for (int64_t rep = 0; rep < reps; ++rep) {
+    double reference_sum = 0.0, kernel_sum = 0.0;
+    for (size_t i = 0; i < num_queries; ++i) {
+      WallTimer one;
+      reference(i);
+      const double reference_ms = one.ElapsedMillis();
+      one.Restart();
+      kernel(i);
+      const double kernel_ms = one.ElapsedMillis();
+      reference_samples->push_back(reference_ms);
+      kernel_samples->push_back(kernel_ms);
+      reference_sum += reference_ms;
+      kernel_sum += kernel_ms;
+    }
+    ratios.push_back(kernel_sum > 0 ? reference_sum / kernel_sum : 0.0);
+  }
+  return Median(&ratios);
 }
 
 void CheckExact(const std::vector<SearchResult>& got,
@@ -108,7 +160,7 @@ void CheckPrefix(const std::vector<SearchResult>& got,
 int main(int argc, char** argv) {
   int64_t seed = 42;
   int64_t num_tables = 240;
-  int64_t reps = 3;
+  int64_t reps = 15;
   int64_t top_k = 10;
   std::string out;
   FlagSet flags;
@@ -228,26 +280,20 @@ int main(int argc, char** argv) {
 
     // Timing. The kernel loops reuse one workspace and one output
     // vector — the serving worker's steady state.
-    WallTimer timer;
     std::vector<double> ref_samples, topk_samples;
-    ref_samples.reserve(reps * queries.size());
-    topk_samples.reserve(reps * queries.size());
-    for (int64_t rep = 0; rep < reps; ++rep) {
-      for (size_t i = 0; i < queries.size(); ++i) {
-        WallTimer one;
-        std::vector<SearchResult> want =
-            engine.reference(corpus, queries[i], normalized[i]);
-        ref_samples.push_back(one.ElapsedMillis());
-      }
-    }
-    t.reference_ms = [&] {
-      double sum = 0;
-      for (double s : ref_samples) sum += s;
-      return sum / ref_samples.size();
-    }();
+    t.speedup = InterleavedSpeedup(
+        reps, queries.size(),
+        [&](size_t i) { engine.reference(corpus, queries[i], normalized[i]); },
+        [&](size_t i) {
+          engine.kernel(corpus, queries[i], normalized[i], topk, &ws, &got);
+        },
+        &ref_samples, &topk_samples);
+    t.reference_ms = Mean(ref_samples);
     t.p50_reference_ms = Median(&ref_samples);
+    t.kernel_topk_ms = Mean(topk_samples);
+    t.p50_topk_ms = Median(&topk_samples);
 
-    timer.Restart();
+    WallTimer timer;
     for (int64_t rep = 0; rep < reps; ++rep) {
       for (size_t i = 0; i < queries.size(); ++i) {
         engine.kernel(corpus, queries[i], normalized[i], full_rank, &ws,
@@ -274,26 +320,11 @@ int main(int argc, char** argv) {
         g_allocations.load(std::memory_order_relaxed);
     for (size_t i = 0; i < queries.size(); ++i) {
       trace.Clear();
-      WallTimer one;
       engine.kernel(corpus, queries[i], normalized[i], topk, &ws, &got);
-      topk_samples.push_back(one.ElapsedMillis());
     }
     steady_allocs += g_allocations.load(std::memory_order_relaxed) -
                      allocs_before;
     steady_queries += queries.size();
-    for (int64_t rep = 1; rep < reps; ++rep) {
-      for (size_t i = 0; i < queries.size(); ++i) {
-        WallTimer one;
-        engine.kernel(corpus, queries[i], normalized[i], topk, &ws, &got);
-        topk_samples.push_back(one.ElapsedMillis());
-      }
-    }
-    t.kernel_topk_ms = [&] {
-      double sum = 0;
-      for (double s : topk_samples) sum += s;
-      return sum / topk_samples.size();
-    }();
-    t.p50_topk_ms = Median(&topk_samples);
   }
 
   // Join engine: reference vs kernel (report-only; the join's work is
@@ -317,7 +348,7 @@ int main(int argc, char** argv) {
     }
   }
   double join_reference_ms = 0.0, join_kernel_ms = 0.0;
-  double join_p50_ms = 0.0;
+  double join_p50_ms = 0.0, join_speedup = 0.0;
   Timings join_t;
   {
     for (const JoinQuery& jq : join_queries) {
@@ -331,30 +362,16 @@ int main(int argc, char** argv) {
       join_t.tables_planned += ws.stats().tables_planned;
       join_t.tables_scored += ws.stats().tables_scored;
     }
-    WallTimer timer;
-    for (int64_t rep = 0; rep < reps; ++rep) {
-      for (const JoinQuery& jq : join_queries) {
-        std::vector<SearchResult> want =
-            testing_util::ReferenceJoinSearch(corpus, jq);
-        (void)want;
-      }
-    }
-    join_reference_ms = timer.ElapsedMillis() /
-                        static_cast<double>(reps * join_queries.size());
-    std::vector<double> join_samples;
-    join_samples.reserve(reps * join_queries.size());
-    for (int64_t rep = 0; rep < reps; ++rep) {
-      for (const JoinQuery& jq : join_queries) {
-        WallTimer one;
-        JoinSearch(corpus, jq, topk, &ws, &got);
-        join_samples.push_back(one.ElapsedMillis());
-      }
-    }
-    join_kernel_ms = [&] {
-      double sum = 0;
-      for (double s : join_samples) sum += s;
-      return sum / join_samples.size();
-    }();
+    std::vector<double> reference_samples, join_samples;
+    join_speedup = InterleavedSpeedup(
+        reps, join_queries.size(),
+        [&](size_t i) {
+          testing_util::ReferenceJoinSearch(corpus, join_queries[i]);
+        },
+        [&](size_t i) { JoinSearch(corpus, join_queries[i], topk, &ws, &got); },
+        &reference_samples, &join_samples);
+    join_reference_ms = Mean(reference_samples);
+    join_kernel_ms = Mean(join_samples);
     join_p50_ms = Median(&join_samples);
   }
 
@@ -375,12 +392,15 @@ int main(int argc, char** argv) {
   // back-to-back calls of one query, taken after one untimed call that
   // absorbs the cost of switching configuration. Each round samples the
   // three configurations on the same query back to back, in an order
-  // that rotates per round. A stall inflates one side of one pair, and
-  // drift is shared by both sides, so the per-query median over rounds
-  // of the paired difference is robust to both; summed over queries and
-  // divided by the summed median cost of the lighter configuration, it
-  // gives the overhead fraction.
-  constexpr int kOverheadRounds = 15;  // a multiple of 3: equal turns first
+  // that rotates per round, so three consecutive rounds (one cycle)
+  // give every configuration every slot once and slot effects cancel
+  // within a cycle. Per query, the extra cost and the cost of the
+  // lighter configuration are each the median over cycles of their
+  // cycle sums, so a stall inflates one cycle of one query and moves
+  // nothing; summed over queries, their ratio gives the overhead
+  // fraction.
+  constexpr int kOverheadCycles = 11;
+  constexpr int kOverheadRounds = 3 * kOverheadCycles;
   constexpr int kOverheadBatch = 8;
   const size_t overhead_items = 3 * queries.size();
   // samples[config][item * kOverheadRounds + round]: ms per call.
@@ -411,13 +431,16 @@ int main(int argc, char** argv) {
   // Extra cost of config `with` over config `without`, as a fraction of
   // the latter.
   auto paired_overhead = [&](int with, int without) {
-    std::vector<double> diff(kOverheadRounds), cost(kOverheadRounds);
+    std::vector<double> diff(kOverheadCycles), cost(kOverheadCycles);
     double extra = 0.0, base = 0.0;
     for (size_t item = 0; item < overhead_items; ++item) {
-      for (int r = 0; r < kOverheadRounds; ++r) {
-        const size_t at = item * kOverheadRounds + r;
-        diff[r] = samples[with][at] - samples[without][at];
-        cost[r] = samples[without][at];
+      for (int cycle = 0; cycle < kOverheadCycles; ++cycle) {
+        diff[cycle] = cost[cycle] = 0.0;
+        for (int r = 3 * cycle; r < 3 * cycle + 3; ++r) {
+          const size_t at = item * kOverheadRounds + r;
+          diff[cycle] += samples[with][at] - samples[without][at];
+          cost[cycle] += samples[without][at];
+        }
       }
       extra += Median(&diff);
       base += Median(&cost);
@@ -436,6 +459,88 @@ int main(int argc, char** argv) {
   const double metrics_overhead = std::max(0.0, metrics_overhead_raw);
   const double explain_overhead_raw = paired_overhead(2, 0);
   const double explain_overhead = std::max(0.0, explain_overhead_raw);
+
+  // --- Serving size (ungated) ---
+  // Figure 9's 800-table corpus, the one the repository benchmark
+  // serves, with serving-shaped queries: the serving layer resolves E2's
+  // name to its entity id and keeps the name, so each query carries
+  // both. Kernel calls run with a request trace attached, as every
+  // served request does, and the trace's `search.match_support` stage
+  // gives that step's share.
+  constexpr int kServingTables = 800;
+  WallTimer serving_wall;
+  CorpusSpec serving_spec;
+  serving_spec.seed = seed + 9;
+  serving_spec.num_tables = kServingTables;
+  std::vector<Table> serving_tables;
+  for (const LabeledTable& lt : GenerateCorpus(world, serving_spec)) {
+    serving_tables.push_back(lt.table);
+  }
+  std::cerr << "annotating " << serving_tables.size()
+            << " serving-size tables...\n";
+  CorpusIndex serving_corpus(AnnotateCorpus(&annotator, serving_tables),
+                             annotator.closure());
+  std::vector<SelectQuery> serving_queries;
+  for (const Family& f : families) {
+    const auto& tuples = world.true_relations[f.rel].tuples;
+    const size_t stride = std::max<size_t>(1, tuples.size() / 10);
+    for (size_t i = 0; i < tuples.size(); i += stride) {
+      SelectQuery q;
+      q.relation = f.rel;
+      q.type1 = f.t1;
+      q.type2 = f.t2;
+      q.relation_text = f.rel_text;
+      q.type1_text = f.t1_text;
+      q.type2_text = f.t2_text;
+      q.e2 = tuples[i].second;
+      q.e2_text = std::string(world.catalog.EntityName(tuples[i].second));
+      serving_queries.push_back(q);
+    }
+  }
+  std::vector<NormalizedSelectQuery> serving_normalized;
+  for (const SelectQuery& q : serving_queries) {
+    serving_normalized.push_back(NormalizeSelectQuery(q));
+  }
+  struct ServingTimings {
+    double kernel_topk_ms = 0.0;
+    int64_t samples = 0;
+    double match_support_ms = 0.0;
+    double tables_planned = 0.0;
+  };
+  ServingTimings serving[3];
+  for (int e = 0; e < 3; ++e) {
+    const EngineCase& engine = engines[e];
+    for (size_t i = 0; i < serving_queries.size(); ++i) {
+      std::vector<SearchResult> want = engine.reference(
+          serving_corpus, serving_queries[i], serving_normalized[i]);
+      engine.kernel(serving_corpus, serving_queries[i],
+                    serving_normalized[i], topk, &ws, &got);
+      CheckPrefix(got, want, static_cast<int>(top_k), engine.name);
+    }
+    obs::RequestTrace trace;
+    obs::ScopedTraceAttach attach(&trace);
+    std::vector<double> kernel_samples;
+    int64_t planned = 0;
+    for (int64_t rep = 0; rep < reps; ++rep) {
+      for (size_t i = 0; i < serving_queries.size(); ++i) {
+        WallTimer one;
+        engine.kernel(serving_corpus, serving_queries[i],
+                      serving_normalized[i], topk, &ws, &got);
+        kernel_samples.push_back(one.ElapsedMillis());
+        planned += ws.stats().tables_planned;
+      }
+    }
+    ServingTimings& st = serving[e];
+    st.kernel_topk_ms = Mean(kernel_samples);
+    st.samples = static_cast<int64_t>(kernel_samples.size());
+    st.tables_planned = static_cast<double>(planned) / st.samples;
+    for (int i = 0; i < trace.num_stages(); ++i) {
+      if (std::string_view(trace.stage(i).name) == "search.match_support") {
+        st.match_support_ms = trace.stage(i).ms / st.samples;
+      }
+    }
+  }
+  const double serving_wall_s = serving_wall.ElapsedSeconds();
 
   // snprintf returns the would-be length: check after every append so
   // growth of the report trips a loud failure instead of writing past
@@ -484,13 +589,38 @@ int main(int argc, char** argv) {
         static_cast<int>(top_k), t.kernel_topk_ms,
         static_cast<int>(top_k), t.p50_topk_ms, static_cast<int>(top_k),
         t.kernel_topk_ms > 0 ? 1000.0 / t.kernel_topk_ms : 0.0,
-        static_cast<int>(top_k), t.speedup(),
+        static_cast<int>(top_k), t.speedup,
         static_cast<long long>(t.stopped_early),
         static_cast<long long>(t.tables_scored),
         static_cast<long long>(t.tables_planned));
     check_fits(n);
   }
   n += std::snprintf(buf + n, sizeof(buf) - n,
+                     "  \"serving_size\": {\n"
+                     "    \"tables\": %d,\n"
+                     "    \"queries\": %d,\n"
+                     "    \"wall_s\": %.2f,\n",
+                     kServingTables,
+                     static_cast<int>(serving_queries.size()),
+                     serving_wall_s);
+  check_fits(n);
+  for (int e = 0; e < 3; ++e) {
+    const ServingTimings& st = serving[e];
+    n += std::snprintf(buf + n, sizeof(buf) - n,
+                       "    \"%s\": {\n"
+                       "      \"kernel_top%d_ms_per_query\": %.4f,\n"
+                       "      \"samples\": %lld,\n"
+                       "      \"match_support_ms_per_query\": %.4f,\n"
+                       "      \"tables_planned_per_query\": %.1f\n"
+                       "    }%s\n",
+                       engines[e].name, static_cast<int>(top_k),
+                       st.kernel_topk_ms, static_cast<long long>(st.samples),
+                       st.match_support_ms, st.tables_planned,
+                       e < 2 ? "," : "");
+    check_fits(n);
+  }
+  n += std::snprintf(buf + n, sizeof(buf) - n,
+                     "  },\n"
                      "  \"join\": {\n"
                      "    \"reference_full_ms_per_query\": %.4f,\n"
                      "    \"kernel_top%d_ms_per_query\": %.4f,\n"
@@ -506,8 +636,7 @@ int main(int argc, char** argv) {
                      join_kernel_ms, static_cast<int>(top_k), join_p50_ms,
                      static_cast<int>(top_k),
                      join_kernel_ms > 0 ? 1000.0 / join_kernel_ms : 0.0,
-                     join_kernel_ms > 0 ? join_reference_ms / join_kernel_ms
-                                        : 0.0,
+                     join_speedup,
                      static_cast<long long>(join_t.stopped_early),
                      static_cast<long long>(join_t.tables_scored),
                      static_cast<long long>(join_t.tables_planned));
@@ -527,7 +656,7 @@ int main(int argc, char** argv) {
   // runner speed, but the aggregate constant-factor win (cursors, flat
   // accumulators, memoized text matching) must hold everywhere.
   double geomean = 1.0;
-  for (int e = 0; e < 3; ++e) geomean *= timings[e].speedup();
+  for (int e = 0; e < 3; ++e) geomean *= timings[e].speedup;
   geomean = std::cbrt(geomean);
   WEBTAB_CHECK(geomean >= 2.0)
       << "select-engine top-k speedup geomean " << geomean << " < 2x";

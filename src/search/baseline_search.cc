@@ -62,12 +62,6 @@ void BaselineSearch(const CorpusView& index, const SelectQuery& /*query*/,
 
   ws->BeginSelect(nq.e2_text);
   const bool prune = topk.k > 0 && topk.prune;
-  // The baseline's only match path is CellMatchesText against E2's
-  // string, so a table outside the match-support set scores nothing.
-  // The set is built on full-rank scans too: the scoring-side verdicts
-  // skip proven-matchless columns exactly.
-  const bool support_valid = ws->BuildMatchSupport(index);
-  const bool refine = prune && support_valid;
 
   // Candidate columns per side via header-token postings.
   obs::TraceSpan plan_span("search.plan");
@@ -100,6 +94,14 @@ void BaselineSearch(const CorpusView& index, const SelectQuery& /*query*/,
         ws->plan.push_back(p);
       });
   plan_span.End();
+
+  // The baseline's only match path is CellMatchesText against E2's
+  // string, so a table outside the match-support set scores nothing.
+  // The set is built on full-rank scans too: the scoring-side verdicts
+  // skip proven-matchless columns exactly.
+  const bool support_valid = ws->BuildMatchSupport(index, ws->plan);
+  const bool refine = prune && support_valid;
+
   auto table_score = [&](int32_t table) {
     return std::binary_search(ws->context_tables.begin(),
                               ws->context_tables.end(), table)

@@ -24,8 +24,8 @@ namespace {
 /// path) can text-match the target — both row conditions are then
 /// provably false for every row, so the skip generates the exact same
 /// Add calls as the full scan. `support_valid` says the workspace's
-/// support set covers the current match target; without it, text-bearing
-/// legs scan everything.
+/// support set covers the current match target on `rel`'s tables;
+/// without it, text-bearing legs scan everything.
 void ExpandLeg(const CorpusView& index, RelationId rel, EntityId grounded,
                std::string_view grounded_text, bool grounded_is_object,
                bool support_valid, SearchWorkspace* ws,
@@ -136,8 +136,11 @@ void JoinSearch(const CorpusView& index, const JoinQuery& query,
   ws->BeginSelect(ws->norm_scratch);
   // Run skipping is a provable no-op elimination (not a lossy prune),
   // so it stays on even for full-rank queries; stats count relation
-  // runs rather than select-plan tables.
-  const bool support_valid = ws->BuildMatchSupport(index);
+  // runs rather than select-plan tables. Leg 2 is the only leg with a
+  // text target, so support is built for R2's tables alone, before the
+  // leg-2 scan that reads it.
+  const bool support_valid =
+      ws->BuildMatchSupport(index, index.RelationPostings(query.r2));
 
   // Leg 2: ground the join variable e2 from R2(e2, E3) (or swapped),
   // then keep the top-K bindings by evidence (score desc, id asc).

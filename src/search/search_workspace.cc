@@ -331,34 +331,54 @@ void SearchWorkspace::AddText(int32_t table, std::string_view raw,
   evidence_.AddText(table, text_key_scratch_, raw, score);
 }
 
-bool SearchWorkspace::BuildMatchSupport(const CorpusView& corpus) {
+void SearchWorkspace::GatherTableSupport(int32_t table) {
+  // Gallops every token's cursor to `table` and collects its entries
+  // there, grouped by column. The index lists a token's columns in
+  // ascending order within a table, but DeepValidate checks only table
+  // order, so a validated file may list them in any order: insert each
+  // entry behind the last one with a column no greater than its own.
+  support_scratch_.clear();
+  for (SupportCursor& cursor : support_cursors_) {
+    cursor.postings.SeekTable(table);
+    if (cursor.postings.done() || cursor.postings.table() != table) {
+      continue;
+    }
+    for (const CellTokenRef& r : cursor.postings.TakeRun()) {
+      const SupportEntry entry{r.col, r.min_tokens, cursor.bit, r.cooc};
+      size_t pos = support_scratch_.size();
+      support_scratch_.push_back(entry);
+      while (pos > 0 && support_scratch_[pos - 1].col > entry.col) {
+        support_scratch_[pos] = support_scratch_[pos - 1];
+        --pos;
+      }
+      support_scratch_[pos] = entry;
+    }
+  }
+}
+
+template <typename Ref>
+bool SearchWorkspace::BuildSupport(const CorpusView& corpus,
+                                   std::span<const Ref> tables) {
   obs::TraceSpan span("search.match_support");
   support_cols.clear();
   if (!corpus.HasMatchSupport()) return false;
   std::span<const std::string> tokens = memo_.TargetTokens();
+  support_cursors_.clear();
   // A zero-token target normalizes to "", which only exact-matches
   // cells that also normalize to "" — exactly the columns the index
-  // records under the empty-token sentinel row.
+  // records under the empty-token sentinel row, all of them alive.
   if (tokens.empty()) {
-    for (const CellTokenRef& r :
-         corpus.CellTokenPostings(std::string_view())) {
-      support_cols.push_back(ColumnRef{r.table, r.col});
-    }
-    return true;
+    support_cursors_.push_back(
+        {search_internal::PostingCursor<CellTokenRef>(
+             corpus.CellTokenPostings(std::string_view())),
+         0});
   }
-  support_scratch.clear();
   for (const std::string& token : tokens) {
-    const uint64_t mask = CellTokenMask(token);
-    for (const CellTokenRef& r : corpus.CellTokenPostings(token)) {
-      support_scratch.push_back(
-          SupportEntry{r.table, r.col, r.min_tokens, mask, r.cooc});
-    }
+    support_cursors_.push_back(
+        {search_internal::PostingCursor<CellTokenRef>(
+             corpus.CellTokenPostings(token)),
+         CellTokenMask(token)});
   }
-  std::sort(support_scratch.begin(), support_scratch.end(),
-            [](const SupportEntry& a, const SupportEntry& b) {
-              if (a.table != b.table) return a.table < b.table;
-              return a.col < b.col;
-            });
   // Necessary match condition. Jaccard >= 0.5 against nb distinct
   // target tokens means 3*inter >= na + nb for some cell with na
   // distinct tokens sharing inter of them; an exact normalized match
@@ -375,60 +395,78 @@ bool SearchWorkspace::BuildMatchSupport(const CorpusView& corpus) {
   // of a table from keeping its E2-side columns alive.
   const size_t nb = tokens.size();
   const size_t multi = std::max<size_t>(2, (nb + 1) / 2);
-  const size_t n = support_scratch.size();
-  for (size_t i = 0; i < n;) {
-    size_t j = i;
-    int32_t best = support_scratch[i].min_tokens;
-    while (j < n && support_scratch[j].table == support_scratch[i].table &&
-           support_scratch[j].col == support_scratch[i].col) {
-      best = std::min(best, support_scratch[j].min_tokens);
-      ++j;
-    }
-    bool alive = nb <= 2 && static_cast<size_t>(best) + nb <= 3;
-    // A multi-token match cell shares some inter >= max(2, ceil(nb/2))
-    // target tokens, all pairwise sharing that cell, with distinct size
-    // na <= 3*inter - nb and na >= min_tokens of every shared token. So
-    // the column must hold an `inter`-sized subset of its target tokens
-    // that forms a mutual co-occurrence clique under the blooms, every
-    // member's min cell size within the cap. Enumerating subsets is
-    // cheap (group size <= nb); a pair-only test is too weak — e.g. a
-    // 4-token target needs 3 tokens in one cell, and columns holding
-    // (klee, i) together but l elsewhere must die.
-    const size_t g = j - i;
-    if (!alive && g >= multi && g > 12) {
-      alive = true;  // Absurdly long target: skip the 2^g scan, sound.
-    }
-    if (!alive && g >= multi && g <= 12) {
-      for (size_t inter = multi; inter <= g && !alive; ++inter) {
-        const int32_t cap = static_cast<int32_t>(3 * inter - nb);
-        for (uint32_t bits = 0; bits < (1u << g) && !alive; ++bits) {
-          if (static_cast<size_t>(std::popcount(bits)) != inter) continue;
-          bool ok = true;
-          for (size_t x = 0; x < g && ok; ++x) {
-            if (!(bits >> x & 1u)) continue;
-            if (support_scratch[i + x].min_tokens > cap) {
-              ok = false;
-              break;
+  int32_t previous = -1;
+  for (const Ref& ref : tables) {
+    const int32_t table = search_internal::PostingTable(ref);
+    if (table == previous) continue;
+    previous = table;
+    GatherTableSupport(table);
+    const size_t n = support_scratch_.size();
+    for (size_t i = 0; i < n;) {
+      size_t j = i;
+      int32_t best = support_scratch_[i].min_tokens;
+      while (j < n && support_scratch_[j].col == support_scratch_[i].col) {
+        best = std::min(best, support_scratch_[j].min_tokens);
+        ++j;
+      }
+      bool alive =
+          nb == 0 || (nb <= 2 && static_cast<size_t>(best) + nb <= 3);
+      // A multi-token match cell shares some inter >= max(2,
+      // ceil(nb/2)) target tokens, all pairwise sharing that cell, with
+      // distinct size na <= 3*inter - nb and na >= min_tokens of every
+      // shared token. So the column must hold an `inter`-sized subset
+      // of its target tokens that forms a mutual co-occurrence clique
+      // under the blooms, every member's min cell size within the cap.
+      // Enumerating subsets is cheap (group size <= nb); a pair-only
+      // test is too weak — e.g. a 4-token target needs 3 tokens in one
+      // cell, and columns holding (klee, i) together but l elsewhere
+      // must die.
+      const size_t g = j - i;
+      if (!alive && g >= multi && g > 12) {
+        alive = true;  // Absurdly long target: skip the 2^g scan, sound.
+      }
+      if (!alive && g >= multi && g <= 12) {
+        for (size_t inter = multi; inter <= g && !alive; ++inter) {
+          const int32_t cap = static_cast<int32_t>(3 * inter - nb);
+          for (uint32_t bits = 0; bits < (1u << g) && !alive; ++bits) {
+            if (static_cast<size_t>(std::popcount(bits)) != inter) continue;
+            bool ok = true;
+            for (size_t x = 0; x < g && ok; ++x) {
+              if (!(bits >> x & 1u)) continue;
+              if (support_scratch_[i + x].min_tokens > cap) {
+                ok = false;
+                break;
+              }
+              for (size_t y = x + 1; y < g && ok; ++y) {
+                if (!(bits >> y & 1u)) continue;
+                const uint64_t bx = support_scratch_[i + x].bit;
+                const uint64_t by = support_scratch_[i + y].bit;
+                ok = (support_scratch_[i + x].cooc & by) == by &&
+                     (support_scratch_[i + y].cooc & bx) == bx;
+              }
             }
-            for (size_t y = x + 1; y < g && ok; ++y) {
-              if (!(bits >> y & 1u)) continue;
-              const uint64_t bx = support_scratch[i + x].bit;
-              const uint64_t by = support_scratch[i + y].bit;
-              ok = (support_scratch[i + x].cooc & by) == by &&
-                   (support_scratch[i + y].cooc & bx) == bx;
-            }
+            alive = ok;
           }
-          alive = ok;
         }
       }
+      if (alive) {
+        support_cols.push_back(ColumnRef{table, support_scratch_[i].col});
+      }
+      i = j;
     }
-    if (alive) {
-      support_cols.push_back(
-          ColumnRef{support_scratch[i].table, support_scratch[i].col});
-    }
-    i = j;
   }
   return true;
+}
+
+bool SearchWorkspace::BuildMatchSupport(
+    const CorpusView& corpus,
+    std::span<const search_internal::PlannedTable> tables) {
+  return BuildSupport(corpus, tables);
+}
+
+bool SearchWorkspace::BuildMatchSupport(const CorpusView& corpus,
+                                        std::span<const RelationRef> tables) {
+  return BuildSupport(corpus, tables);
 }
 
 bool SearchWorkspace::ShouldStop(int k, double remaining) {

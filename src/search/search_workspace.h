@@ -12,6 +12,7 @@
 #include "exec/bit_vector.h"
 #include "exec/score_batch.h"
 #include "search/corpus_view.h"
+#include "search/posting_cursor.h"
 #include "search/query.h"
 
 namespace webtab {
@@ -179,6 +180,8 @@ struct PlannedTable {
   double bound = 0.0;
 };
 
+inline int32_t PostingTable(const PlannedTable& p) { return p.table; }
+
 }  // namespace search_internal
 
 /// Reusable per-worker scratch for the table-at-a-time search kernel —
@@ -259,19 +262,31 @@ class SearchWorkspace {
   /// Ranks the accumulated evidence into `out` (reused).
   void EmitRanked(const TopKOptions& topk, std::vector<SearchResult>* out);
 
-  /// Builds `support_cols` — the columns where a cell could possibly
-  /// text-match the current target, from the corpus's column-granular
+  /// Builds `support_cols` for the tables a query will ask about — the
+  /// columns of those tables where a cell could possibly text-match
+  /// the current target, from the corpus's column-granular
   /// CellTokenPostings: a matching cell needs at least ceil(nb/2) of
   /// the target's nb tokens (CellMatchesText's Jaccard >= 0.5 forces
   /// it), so a column containing fewer distinct target tokens is
-  /// provably matchless. Returns true when the support set is valid
-  /// for pruning; false when the backend lacks match support or the
-  /// target has no tokens (then token absence proves nothing and
-  /// engines must not eliminate anything on it).
-  bool BuildMatchSupport(const CorpusView& corpus);
+  /// provably matchless. `tables` must ascend by table (repeats are
+  /// skipped): the select engines pass their plan, the join its leg-2
+  /// relation postings. Each target token's posting list is galloped
+  /// to each listed table, so the cost is tables x target tokens x
+  /// log(gap), not the target's whole posting lists. Returns false
+  /// only when the backend lacks match support, and engines must then
+  /// eliminate nothing on it. A target with no tokens normalizes to "",
+  /// which exact-matches only cells that also normalize to "": its
+  /// support is the listed tables' columns in the index's empty-token
+  /// sentinel row, and the result is true.
+  bool BuildMatchSupport(
+      const CorpusView& corpus,
+      std::span<const search_internal::PlannedTable> tables);
+  bool BuildMatchSupport(const CorpusView& corpus,
+                         std::span<const RelationRef> tables);
 
   /// Membership tests against the last BuildMatchSupport result
-  /// (sorted by (table, col)).
+  /// (sorted by (table, col)). Only tables passed to it can answer
+  /// true.
   bool ColumnHasMatchSupport(int32_t table, int32_t col) const {
     auto cmp = [](const ColumnRef& r, const ColumnRef& key) {
       if (r.table != key.table) return r.table < key.table;
@@ -304,17 +319,6 @@ class SearchWorkspace {
   std::vector<ColumnRef> side_a, side_b;  // baseline header-union sides
   std::vector<int32_t> context_tables;    // baseline context bonus
   std::vector<ColumnRef> support_cols;    // BuildMatchSupport result
-  /// One cell-token posting tagged with its target token's bloom bit —
-  /// the (table, col) groups below need to know which token each entry
-  /// came from to run the pairwise co-occurrence test.
-  struct SupportEntry {
-    int32_t table;
-    int32_t col;
-    int32_t min_tokens;
-    uint64_t bit;   // CellTokenMask(target token)
-    uint64_t cooc;  // posting's co-occurrence bloom
-  };
-  std::vector<SupportEntry> support_scratch;  // token-posting union
 
   // --- Vectorized batch kernel scratch (src/exec). ---
   /// Columnar lanes of the row-chunk scoring sweeps.
@@ -361,6 +365,28 @@ class SearchWorkspace {
   int64_t stop_check_skip_ = 0;
   int64_t stop_check_backoff_ = 1;
   bool explain_enabled_ = false;
+
+  // BuildMatchSupport scratch. One target token's cell-token posting at
+  // the current table, tagged with the token's bloom bit: a column's
+  // group needs to know which token each entry came from to run the
+  // pairwise co-occurrence test.
+  struct SupportEntry {
+    int32_t col;
+    int32_t min_tokens;
+    uint64_t bit;   // CellTokenMask(target token)
+    uint64_t cooc;  // posting's co-occurrence bloom
+  };
+  std::vector<SupportEntry> support_scratch_;  // one table, sorted by col
+  /// One forward cursor per target token (or the empty-token sentinel).
+  struct SupportCursor {
+    search_internal::PostingCursor<CellTokenRef> postings;
+    uint64_t bit;  // CellTokenMask(target token)
+  };
+  std::vector<SupportCursor> support_cursors_;
+
+  template <typename Ref>
+  bool BuildSupport(const CorpusView& corpus, std::span<const Ref> tables);
+  void GatherTableSupport(int32_t table);
 };
 
 /// Per-thread workspace backing the convenience engine wrappers (the

@@ -29,10 +29,6 @@ void TypeRelationSearch(const CorpusView& index, const SelectQuery& query,
 
   ws->BeginSelect(nq.e2_text);
   const bool prune = topk.k > 0 && topk.prune;
-  // See type_search.cc: entity postings bound the annotated E2 hits,
-  // the cell-token support set bounds where text fallback can fire.
-  const bool support_valid = ws->BuildMatchSupport(index);
-  const bool refine = prune && support_valid;
   const bool e2_present = query.e2 != kNa;
   const std::span<const CellRef> e2_postings =
       e2_present ? index.EntityPostings(query.e2)
@@ -54,6 +50,11 @@ void TypeRelationSearch(const CorpusView& index, const SelectQuery& query,
     ws->plan.push_back(p);
   }
   plan_span.End();
+
+  // See type_search.cc: entity postings bound the annotated E2 hits,
+  // the cell-token support set bounds where text fallback can fire.
+  const bool support_valid = ws->BuildMatchSupport(index, ws->plan);
+  const bool refine = prune && support_valid;
 
   // Max row_score is 1.2; one answer can gain it once per (row,
   // annotated pair) of the table. Refined: per pair at most the object

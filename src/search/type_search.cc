@@ -29,14 +29,6 @@ void TypeSearch(const CorpusView& index, const SelectQuery& query,
 
   ws->BeginSelect(nq.e2_text);
   const bool prune = topk.k > 0 && topk.prune;
-  // Match-support refinement: with the cell-token index we know exactly
-  // which tables can text-match E2 (CellMatchesText needs a shared
-  // token), and the entity postings say how many cells are annotated
-  // with E2. A table with neither contributes zero evidence. The support
-  // set is built on full-rank scans too: the scoring-side verdicts
-  // eliminate proven-matchless columns there as well.
-  const bool support_valid = ws->BuildMatchSupport(index);
-  const bool refine = prune && support_valid;
   const bool e2_present = query.e2 != kNa;
   const std::span<const CellRef> e2_postings =
       e2_present ? index.EntityPostings(query.e2)
@@ -58,6 +50,15 @@ void TypeSearch(const CorpusView& index, const SelectQuery& query,
         ws->plan.push_back(p);
       });
   plan_span.End();
+
+  // Match-support refinement: with the cell-token index we know exactly
+  // which planned columns can text-match E2 (CellMatchesText needs a
+  // shared token), and the entity postings say how many cells are
+  // annotated with E2. A table with neither contributes zero evidence.
+  // The support set is built on full-rank scans too: the scoring-side
+  // verdicts eliminate proven-matchless columns there as well.
+  const bool support_valid = ws->BuildMatchSupport(index, ws->plan);
+  const bool refine = prune && support_valid;
 
   // Any single answer gains at most one row_score (max 1.0) per (row,
   // answer cell, matching E2 column) triple. With match support the E2

@@ -18,6 +18,7 @@
 #include "reference_search.h"
 #include "search/baseline_search.h"
 #include "search/corpus_index.h"
+#include "search/join_search.h"
 #include "search/type_relation_search.h"
 #include "search/type_search.h"
 #include "snapshot_bytes.h"
@@ -26,12 +27,14 @@
 #include "storage/snapshot_writer.h"
 #include "synth/corpus_generator.h"
 #include "test_world.h"
+#include "text/tokenizer.h"
 
 namespace webtab {
 namespace {
 
 using storage::Snapshot;
 using storage::SnapshotBuilder;
+using testing_util::CsrRowRange;
 using testing_util::FixChecksum;
 using testing_util::ReadPod;
 using testing_util::SectionOffsetOf;
@@ -156,8 +159,14 @@ TEST_P(MatchSupportPrefixTest, PrunedPrefixMatchesFullRankForAnyK) {
   };
   SearchWorkspace ws;
   std::vector<SearchResult> got;
+  // Support is checked after every call: grounded queries carry no text
+  // (the empty-token sentinel path, which keeps nothing here: no cell
+  // of these corpora normalizes to ""), the others are text-only.
+  size_t text_kept = 0;
   for (const SelectQuery& q : Queries()) {
     NormalizedSelectQuery nq = NormalizeSelectQuery(q);
+    const testing_util::SupportOracle oracle =
+        testing_util::MakeSupportOracle(*corpus_, nq.e2_text);
     for (const EngineCase& engine : engines) {
       for (const Backend& backend : backends) {
         std::vector<SearchResult> full =
@@ -168,10 +177,16 @@ TEST_P(MatchSupportPrefixTest, PrunedPrefixMatchesFullRankForAnyK) {
           std::string what = std::string(engine.name) + "/" +
                              backend.name + "/k=" + std::to_string(k);
           ExpectPrefix(got, full, k, what.c_str());
+          testing_util::SupportCheck check = testing_util::CheckMatchSupport(
+              oracle, std::span<const search_internal::PlannedTable>(ws.plan),
+              ws.support_cols);
+          EXPECT_EQ(check.violation, "") << what;
+          text_kept += check.kept;
         }
       }
     }
   }
+  EXPECT_GT(text_kept, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(FlatAndSkewed, MatchSupportPrefixTest,
@@ -218,25 +233,11 @@ class MatchSupportHostileTest : public ::testing::Test {
     return s;
   }
 
-  /// Row bounds [begin, end) of `row` in a CSR, in elements.
-  std::pair<uint64_t, uint64_t> RowRange(uint64_t section,
-                                         const storage::CsrRef& csr,
-                                         uint64_t row) const {
-    uint64_t ends = section + csr.row_ends.offset;
-    uint64_t begin =
-        row == 0 ? 0
-                 : ReadPod<uint64_t>(*bytes_,
-                                     ends + (row - 1) * sizeof(uint64_t));
-    uint64_t end =
-        ReadPod<uint64_t>(*bytes_, ends + row * sizeof(uint64_t));
-    return {begin, end};
-  }
-
   /// The image with two cell-token postings of different tables swapped
-  /// in one token's row, checksum fixed. Match support is
-  /// binary-searched by (table, col); out-of-order rows would make
-  /// BuildMatchSupport miss live columns and engines would prune tables
-  /// that still match.
+  /// in one token's row, checksum fixed. BuildMatchSupport gallops each
+  /// target token's row to each planned table, so table order is
+  /// load-bearing: an out-of-order row would make it miss live columns,
+  /// and engines would prune tables that still match.
   std::vector<uint8_t> CellTokenOrderViolation() const {
     std::vector<uint8_t> hostile = *bytes_;
     uint64_t section = Section();
@@ -244,7 +245,8 @@ class MatchSupportHostileTest : public ::testing::Test {
     uint64_t values = section + h.cell_token_postings.values.offset;
     uint64_t victim = static_cast<uint64_t>(-1);
     for (uint64_t r = 0; r < h.cell_token_postings.row_ends.count; ++r) {
-      auto [begin, end] = RowRange(section, h.cell_token_postings, r);
+      auto [begin, end] =
+          CsrRowRange(hostile, section, h.cell_token_postings, r);
       for (uint64_t i = begin; i + 1 < end; ++i) {
         auto a = ReadPod<CellTokenRef>(hostile,
                                        values + i * sizeof(CellTokenRef));
@@ -306,6 +308,152 @@ TEST_F(MatchSupportHostileTest, RejectsCellTokenPostingsOutOfTableOrder) {
   ExpectValidatedRejects("match_support_celltoken_order.snap",
                          CellTokenOrderViolation(),
                          "cell token postings out of table order");
+}
+
+TEST_F(MatchSupportHostileTest, DescendingColumnsWithinATableAnswerSame) {
+  // DeepValidate checks only table order inside a cell-token row, so a
+  // validated file may list one table's columns in any order. Support
+  // is galloped per planned table and grouped by column there, so every
+  // answer must stay what the in-memory index gives. The reversed run is
+  // one that grouping in posting order would get wrong: a 2-token
+  // director name whose tokens share E2-side column c of a planned
+  // table, each only in cells of >= 2 tokens (so neither token alone
+  // keeps c), and whose later token also sits in a column right of c.
+  // Reversed, that token's entry at c no longer follows the other
+  // token's, so c survives only if the table's entries are sorted.
+  const World& world = SharedWorld();
+  SelectQuery directed;
+  directed.relation = world.directed;
+  directed.type1 = world.movie;
+  directed.type2 = world.director;
+  directed.relation_text = "directed by";
+  directed.type1_text = "movie";
+  directed.type2_text = "director";
+  auto entry_at = [&](std::string_view token, int32_t table, int32_t col) {
+    for (const CellTokenRef& r : corpus_->CellTokenPostings(token)) {
+      if (r.table == table && r.col == col) return r.min_tokens;
+    }
+    return 0;
+  };
+  auto is_object_col = [&](int32_t table, int32_t col) {
+    for (const RelationRef& r : corpus_->RelationPostings(world.directed)) {
+      if (r.table == table && (r.swapped ? r.c1 : r.c2) == col) return true;
+    }
+    return false;
+  };
+  SearchWorkspace ws;
+  std::vector<SearchResult> got;
+  EntityId chosen = kNa;
+  std::string later_token;
+  int32_t chosen_table = -1;
+  for (const auto& tuple : world.true_relations[world.directed].tuples) {
+    if (chosen != kNa) break;
+    SelectQuery q = directed;
+    q.e2_text = std::string(world.catalog.EntityName(tuple.second));
+    NormalizedSelectQuery nq = NormalizeSelectQuery(q);
+    std::vector<std::string> tokens = Tokenize(nq.e2_text);
+    std::sort(tokens.begin(), tokens.end());
+    tokens.erase(std::unique(tokens.begin(), tokens.end()), tokens.end());
+    if (tokens.size() != 2) continue;
+    TypeSearch(*corpus_, q, nq, TopKOptions{}, &ws, &got);
+    for (const search_internal::PlannedTable& p : ws.plan) {
+      for (uint32_t bi = p.b_begin; bi < p.b_end && chosen == kNa; ++bi) {
+        const int32_t c = ws.col_pool[bi];
+        if (entry_at(tokens[0], p.table, c) < 2 ||
+            entry_at(tokens[1], p.table, c) < 2 ||
+            !is_object_col(p.table, c)) {
+          continue;
+        }
+        bool right_of_c = false;
+        for (int32_t c2 = c + 1; c2 < corpus_->cols(p.table); ++c2) {
+          right_of_c = right_of_c || entry_at(tokens[1], p.table, c2) > 0;
+        }
+        bool matches = false;
+        for (int r = 0; r < corpus_->rows(p.table); ++r) {
+          matches = matches || testing_util::CellMatchesText(
+                                   corpus_->cell(p.table, r, c), nq.e2_text);
+        }
+        if (right_of_c && matches) {
+          chosen = tuple.second;
+          later_token = tokens[1];
+          chosen_table = p.table;
+        }
+      }
+    }
+  }
+  ASSERT_NE(chosen, kNa) << "no run fits; change the corpus seed";
+  std::vector<uint8_t> hostile = *bytes_;
+  ASSERT_GE(testing_util::ReverseCellTokenRun(&hostile, later_token,
+                                              chosen_table),
+            2u);
+  std::string path = TempPath("match_support_descending.snap");
+  WriteBytes(path, hostile);
+  Result<Snapshot> snap = Snapshot::OpenValidated(path);
+  ASSERT_TRUE(snap.ok()) << snap.status().ToString();
+  const CorpusView& view = *snap->corpus();
+
+  struct EngineCase {
+    const char* name;
+    void (*kernel)(const CorpusView&, const SelectQuery&,
+                   const NormalizedSelectQuery&, const TopKOptions&,
+                   SearchWorkspace*, std::vector<SearchResult>*);
+  };
+  const EngineCase engines[] = {{"baseline", &BaselineSearch},
+                                {"type", &TypeSearch},
+                                {"type_relation", &TypeRelationSearch}};
+  auto expect_same = [](const std::vector<SearchResult>& got,
+                        const std::vector<SearchResult>& want,
+                        const std::string& what) {
+    ASSERT_EQ(got.size(), want.size()) << what;
+    for (size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].entity, want[i].entity) << what << " @" << i;
+      EXPECT_EQ(got[i].text, want[i].text) << what << " @" << i;
+      EXPECT_EQ(got[i].score, want[i].score) << what << " @" << i;
+    }
+  };
+  const auto& tuples = world.true_relations[world.directed].tuples;
+  std::vector<EntityId> directors = {chosen};
+  for (size_t i = 0; i < tuples.size(); i += tuples.size() / 6) {
+    directors.push_back(tuples[i].second);
+  }
+  std::vector<SearchResult> want;
+  size_t chosen_results = 0;
+  for (EntityId d : directors) {
+    const std::string name(world.catalog.EntityName(d));
+    for (EntityId e2 : {d, kNa}) {
+      SelectQuery q = directed;
+      q.e2 = e2;
+      q.e2_text = name;
+      NormalizedSelectQuery nq = NormalizeSelectQuery(q);
+      for (const EngineCase& engine : engines) {
+        for (const TopKOptions& topk : {TopKOptions{}, TopKOptions{5, true}}) {
+          const std::string what = std::string(engine.name) + " e2=" + name +
+                                   " k=" + std::to_string(topk.k);
+          engine.kernel(*corpus_, q, nq, topk, &ws, &want);
+          engine.kernel(view, q, nq, topk, &ws, &got);
+          expect_same(got, want, what);
+          if (d == chosen) chosen_results += want.size();
+        }
+      }
+      // "Actors in movies directed by D": leg 2 grounds the movie from
+      // directed(movie, D), the only leg that matches D's name as text.
+      JoinQuery jq;
+      jq.r1 = world.acted_in;
+      jq.e1_is_subject = false;
+      jq.r2 = world.directed;
+      jq.e2_is_subject = true;
+      jq.e3 = e2;
+      jq.e3_text = name;
+      for (const TopKOptions& topk : {TopKOptions{}, TopKOptions{5, true}}) {
+        JoinSearch(*corpus_, jq, topk, &ws, &want);
+        JoinSearch(view, jq, topk, &ws, &got);
+        expect_same(got, want, "join e3=" + name);
+        if (d == chosen) chosen_results += want.size();
+      }
+    }
+  }
+  EXPECT_GT(chosen_results, 0u);
+  std::remove(path.c_str());
 }
 
 TEST_F(MatchSupportHostileTest, WritesDeepInvalidImageForSnapshotTool) {

@@ -2,8 +2,10 @@
 #define WEBTAB_TESTS_REFERENCE_SEARCH_H_
 
 #include <algorithm>
+#include <bit>
 #include <map>
 #include <set>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -11,6 +13,7 @@
 #include "search/corpus_view.h"
 #include "search/join_search.h"
 #include "search/query.h"
+#include "search/search_workspace.h"
 #include "text/similarity.h"
 #include "text/tokenizer.h"
 
@@ -29,6 +32,191 @@ inline bool CellMatchesText(std::string_view cell_text,
                             std::string_view e2_text) {
   if (ExactNormalizedMatch(cell_text, e2_text)) return true;
   return JaccardSimilarity(cell_text, e2_text) >= 0.5;
+}
+
+/// The match-support builder as it stood before support was built for
+/// the planned tables only, kept as the oracle for
+/// SearchWorkspace::BuildMatchSupport: gather every corpus posting of
+/// the target's distinct tokens, sort them by (table, col), and run the
+/// Jaccard feasibility rule (the single-token arm and the co-occurrence
+/// clique) on each column's group. Returns the surviving columns of the
+/// whole corpus, sorted by (table, col). A target with no tokens
+/// returns the empty-token sentinel row: the columns holding a cell
+/// that normalizes to "". Empty when the backend has no match support.
+inline std::vector<ColumnRef> ReferenceMatchSupport(
+    const CorpusView& corpus, std::string_view normalized_target) {
+  std::vector<ColumnRef> support_cols;
+  if (!corpus.HasMatchSupport()) return support_cols;
+  std::vector<std::string> tokens = Tokenize(normalized_target);
+  std::sort(tokens.begin(), tokens.end());
+  tokens.erase(std::unique(tokens.begin(), tokens.end()), tokens.end());
+  if (tokens.empty()) {
+    for (const CellTokenRef& r :
+         corpus.CellTokenPostings(std::string_view())) {
+      support_cols.push_back(ColumnRef{r.table, r.col});
+    }
+    return support_cols;
+  }
+  struct SupportEntry {
+    int32_t table;
+    int32_t col;
+    int32_t min_tokens;
+    uint64_t bit;
+    uint64_t cooc;
+  };
+  std::vector<SupportEntry> support_scratch;
+  for (const std::string& token : tokens) {
+    const uint64_t mask = CellTokenMask(token);
+    for (const CellTokenRef& r : corpus.CellTokenPostings(token)) {
+      support_scratch.push_back(
+          SupportEntry{r.table, r.col, r.min_tokens, mask, r.cooc});
+    }
+  }
+  std::sort(support_scratch.begin(), support_scratch.end(),
+            [](const SupportEntry& a, const SupportEntry& b) {
+              if (a.table != b.table) return a.table < b.table;
+              return a.col < b.col;
+            });
+  const size_t nb = tokens.size();
+  const size_t multi = std::max<size_t>(2, (nb + 1) / 2);
+  const size_t n = support_scratch.size();
+  for (size_t i = 0; i < n;) {
+    size_t j = i;
+    int32_t best = support_scratch[i].min_tokens;
+    while (j < n && support_scratch[j].table == support_scratch[i].table &&
+           support_scratch[j].col == support_scratch[i].col) {
+      best = std::min(best, support_scratch[j].min_tokens);
+      ++j;
+    }
+    bool alive = nb <= 2 && static_cast<size_t>(best) + nb <= 3;
+    const size_t g = j - i;
+    if (!alive && g >= multi && g > 12) {
+      alive = true;
+    }
+    if (!alive && g >= multi && g <= 12) {
+      for (size_t inter = multi; inter <= g && !alive; ++inter) {
+        const int32_t cap = static_cast<int32_t>(3 * inter - nb);
+        for (uint32_t bits = 0; bits < (1u << g) && !alive; ++bits) {
+          if (static_cast<size_t>(std::popcount(bits)) != inter) continue;
+          bool ok = true;
+          for (size_t x = 0; x < g && ok; ++x) {
+            if (!(bits >> x & 1u)) continue;
+            if (support_scratch[i + x].min_tokens > cap) {
+              ok = false;
+              break;
+            }
+            for (size_t y = x + 1; y < g && ok; ++y) {
+              if (!(bits >> y & 1u)) continue;
+              const uint64_t bx = support_scratch[i + x].bit;
+              const uint64_t by = support_scratch[i + y].bit;
+              ok = (support_scratch[i + x].cooc & by) == by &&
+                   (support_scratch[i + y].cooc & bx) == bx;
+            }
+          }
+          alive = ok;
+        }
+      }
+    }
+    if (alive) {
+      support_cols.push_back(
+          ColumnRef{support_scratch[i].table, support_scratch[i].col});
+    }
+    i = j;
+  }
+  return support_cols;
+}
+
+/// Everything the match-support checks need to know about one target
+/// on one corpus, computed once per target: the oracle's whole-corpus
+/// support, the columns holding at least one target token, and the
+/// columns holding a cell that CellMatchesText the target. All three
+/// are sorted by (table, col) and unique.
+struct SupportOracle {
+  size_t target_tokens = 0;
+  std::vector<ColumnRef> support;
+  std::vector<ColumnRef> token_columns;
+  std::vector<ColumnRef> matching;
+};
+
+inline SupportOracle MakeSupportOracle(const CorpusView& corpus,
+                                       std::string_view normalized_target) {
+  SupportOracle oracle;
+  oracle.support = ReferenceMatchSupport(corpus, normalized_target);
+  std::set<std::pair<int32_t, int32_t>> token_columns;
+  std::vector<std::string> tokens = Tokenize(normalized_target);
+  std::sort(tokens.begin(), tokens.end());
+  tokens.erase(std::unique(tokens.begin(), tokens.end()), tokens.end());
+  oracle.target_tokens = tokens.size();
+  for (const std::string& token : tokens) {
+    for (const CellTokenRef& r : corpus.CellTokenPostings(token)) {
+      token_columns.insert({r.table, r.col});
+    }
+  }
+  for (const auto& [t, c] : token_columns) {
+    oracle.token_columns.push_back(ColumnRef{t, c});
+  }
+  for (int t = 0; t < corpus.num_tables(); ++t) {
+    for (int c = 0; c < corpus.cols(t); ++c) {
+      for (int r = 0; r < corpus.rows(t); ++r) {
+        if (CellMatchesText(corpus.cell(t, r, c), normalized_target)) {
+          oracle.matching.push_back(ColumnRef{t, c});
+          break;
+        }
+      }
+    }
+  }
+  return oracle;
+}
+
+/// One BuildMatchSupport result checked against the oracle.
+struct SupportCheck {
+  /// Empty when `support` equals the oracle's support restricted to the
+  /// listed tables and holds every text-matching column of them; else
+  /// the first violation.
+  std::string violation;
+  size_t kept = 0;  // columns in `support`
+  /// Columns of the listed tables holding a target token that `support`
+  /// proves matchless.
+  size_t eliminated = 0;
+};
+
+/// Checks `support`, built for `tables` (any posting type with a
+/// table; repeats allowed), against `oracle`.
+template <typename Ref>
+SupportCheck CheckMatchSupport(const SupportOracle& oracle,
+                               std::span<const Ref> tables,
+                               std::span<const ColumnRef> support) {
+  std::set<int32_t> listed;
+  for (const Ref& ref : tables) {
+    listed.insert(search_internal::PostingTable(ref));
+  }
+  auto restrict = [&](const std::vector<ColumnRef>& cols) {
+    std::vector<std::pair<int32_t, int32_t>> out;
+    for (const ColumnRef& c : cols) {
+      if (listed.count(c.table) != 0) out.push_back({c.table, c.col});
+    }
+    return out;
+  };
+  std::vector<std::pair<int32_t, int32_t>> got;
+  for (const ColumnRef& c : support) got.push_back({c.table, c.col});
+  SupportCheck check;
+  check.kept = got.size();
+  if (got != restrict(oracle.support)) {
+    check.violation = "support differs from the restricted oracle";
+  }
+  for (const auto& column : restrict(oracle.matching)) {
+    if (!std::binary_search(got.begin(), got.end(), column)) {
+      check.violation = "text-matching column " +
+                        std::to_string(column.first) + ":" +
+                        std::to_string(column.second) + " not in support";
+    }
+  }
+  for (const auto& column : restrict(oracle.token_columns)) {
+    if (!std::binary_search(got.begin(), got.end(), column)) {
+      ++check.eliminated;
+    }
+  }
+  return check;
 }
 
 /// The retired map/set-backed search engines, retained verbatim as the

@@ -26,14 +26,19 @@
 namespace webtab {
 namespace {
 
+using search_internal::PlannedTable;
 using storage::Snapshot;
 using storage::SnapshotBuilder;
+using testing_util::CheckMatchSupport;
+using testing_util::MakeSupportOracle;
 using testing_util::ReferenceBaselineSearch;
 using testing_util::ReferenceJoinSearch;
 using testing_util::ReferenceTypeRelationSearch;
 using testing_util::ReferenceTypeSearch;
 using testing_util::SharedIndex;
 using testing_util::SharedWorld;
+using testing_util::SupportCheck;
+using testing_util::SupportOracle;
 
 void ExpectExact(const std::vector<SearchResult>& got,
                  const std::vector<SearchResult>& want,
@@ -63,6 +68,35 @@ void ExpectSamePrefix(const std::vector<SearchResult>& got,
       EXPECT_EQ(got[i].text, full[i].text) << context << " @" << i;
     }
   }
+}
+
+/// Kept and eliminated column counts of checked support results, split
+/// by target size, so a sweep can prove it exercised both outcomes of
+/// the single-token arm (2-token targets) and of the clique test
+/// (3 or more tokens).
+struct SupportTally {
+  size_t kept[2] = {0, 0};        // [2 tokens, >= 3 tokens]
+  size_t eliminated[2] = {0, 0};  // [2 tokens, >= 3 tokens]
+
+  void Add(const SupportOracle& oracle, const SupportCheck& check) {
+    if (oracle.target_tokens < 2) return;
+    const int size_class = oracle.target_tokens == 2 ? 0 : 1;
+    kept[size_class] += check.kept;
+    eliminated[size_class] += check.eliminated;
+  }
+};
+
+/// The last select call's match support must equal the oracle's,
+/// restricted to the tables of its plan, and keep every planned column
+/// that holds a text-matching cell.
+void ExpectPlanSupport(const SearchWorkspace& ws,
+                       const SupportOracle& oracle,
+                       const std::string& context,
+                       SupportTally* tally = nullptr) {
+  SupportCheck check = CheckMatchSupport(
+      oracle, std::span<const PlannedTable>(ws.plan), ws.support_cols);
+  EXPECT_EQ(check.violation, "") << context;
+  if (tally != nullptr) tally->Add(oracle, check);
 }
 
 class SearchEquivalenceTest : public ::testing::Test {
@@ -182,8 +216,10 @@ TEST_F(SearchEquivalenceTest, FullRankMatchesReferenceOnBothBackends) {
   std::vector<SearchResult> got;
   const CorpusView& snap_view = *snap_->corpus();
   size_t total_results = 0;
+  SupportTally tally;
   for (const SelectQuery& q : SelectQueries()) {
     NormalizedSelectQuery nq = NormalizeSelectQuery(q);
+    const SupportOracle oracle = MakeSupportOracle(*mem_corpus_, nq.e2_text);
     for (const EngineCase& engine : kEngines) {
       std::string context = std::string(engine.name) + " e2=" + q.e2_text;
       std::vector<SearchResult> want =
@@ -191,13 +227,21 @@ TEST_F(SearchEquivalenceTest, FullRankMatchesReferenceOnBothBackends) {
       total_results += want.size();
       engine.kernel(*mem_corpus_, q, nq, TopKOptions{}, &ws, &got);
       ExpectExact(got, want, context + " [mem]");
+      ExpectPlanSupport(ws, oracle, context + " [mem]", &tally);
       engine.kernel(snap_view, q, nq, TopKOptions{}, &ws, &got);
       ExpectExact(got, want, context + " [snap]");
+      ExpectPlanSupport(ws, oracle, context + " [snap]");
     }
   }
   // Non-vacuity: the corpus and query set must actually exercise the
   // aggregation/ranking paths, not just agree on emptiness.
   EXPECT_GT(total_results, 100u);
+  // ... and match support must both keep and eliminate columns that
+  // hold a target token, for 2-token and for longer targets.
+  for (int size_class = 0; size_class < 2; ++size_class) {
+    EXPECT_GT(tally.kept[size_class], 0u) << size_class;
+    EXPECT_GT(tally.eliminated[size_class], 0u) << size_class;
+  }
 }
 
 TEST_F(SearchEquivalenceTest, TopKPrefixMatchesReferenceForAllK) {
@@ -207,6 +251,7 @@ TEST_F(SearchEquivalenceTest, TopKPrefixMatchesReferenceForAllK) {
   const int ks[] = {1, 2, 5, 20, 1000};
   for (const SelectQuery& q : SelectQueries()) {
     NormalizedSelectQuery nq = NormalizeSelectQuery(q);
+    const SupportOracle oracle = MakeSupportOracle(*mem_corpus_, nq.e2_text);
     for (const EngineCase& engine : kEngines) {
       std::vector<SearchResult> full =
           engine.reference(*mem_corpus_, q, nq);
@@ -219,6 +264,7 @@ TEST_F(SearchEquivalenceTest, TopKPrefixMatchesReferenceForAllK) {
           engine.kernel(*mem_corpus_, q, nq, TopKOptions{k, prune}, &ws,
                         &got);
           ExpectSamePrefix(got, full, k, context + " [mem]");
+          ExpectPlanSupport(ws, oracle, context + " [mem]");
           if (!prune) {
             // Without pruning, top-k is the exact ranking truncated:
             // scores are bit-identical too.
@@ -229,6 +275,7 @@ TEST_F(SearchEquivalenceTest, TopKPrefixMatchesReferenceForAllK) {
           engine.kernel(snap_view, q, nq, TopKOptions{k, prune}, &ws,
                         &got);
           ExpectSamePrefix(got, full, k, context + " [snap]");
+          ExpectPlanSupport(ws, oracle, context + " [snap]");
         }
       }
     }
@@ -370,12 +417,24 @@ TEST_F(SearchEquivalenceTest, JoinMatchesReferenceOnBothBackends) {
     std::vector<SearchResult> want = ReferenceJoinSearch(*mem_corpus_, jq);
     if (!want.empty() && jq.e3 != kNa) ++grounded_nonempty;
     if (!want.empty() && jq.e3 == kNa) ++text_nonempty;
+    // Leg 2 is the join's only text leg: its support covers R2's tables.
+    const SupportOracle oracle =
+        MakeSupportOracle(*mem_corpus_, NormalizeText(jq.e3_text));
+    auto expect_leg2_support = [&](const CorpusView& view,
+                                   const char* context) {
+      SupportCheck check = CheckMatchSupport(
+          oracle, view.RelationPostings(jq.r2), ws.support_cols);
+      EXPECT_EQ(check.violation, "") << context;
+    };
     JoinSearch(*mem_corpus_, jq, TopKOptions{}, &ws, &got);
     ExpectExact(got, want, "join [mem]");
+    expect_leg2_support(*mem_corpus_, "join [mem]");
     JoinSearch(snap_view, jq, TopKOptions{}, &ws, &got);
     ExpectExact(got, want, "join [snap]");
+    expect_leg2_support(snap_view, "join [snap]");
     JoinSearch(*mem_corpus_, jq, TopKOptions{3, true}, &ws, &got);
     ExpectSamePrefix(got, want, 3, "join k=3");
+    expect_leg2_support(*mem_corpus_, "join k=3");
   }
   // Non-vacuity: both grounding paths must produce real rankings.
   EXPECT_GT(grounded_nonempty, 0);

@@ -6,13 +6,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <fstream>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
+#include "search/corpus_view.h"
 #include "storage/format.h"
 
 namespace webtab {
@@ -51,6 +55,17 @@ inline uint64_t SectionOffsetOf(const std::vector<uint8_t>& bytes,
   return 0;
 }
 
+/// Row `row` of a CSR stored in the section at `section`, as [begin,
+/// end) element indices into its values.
+inline std::pair<uint64_t, uint64_t> CsrRowRange(
+    const std::vector<uint8_t>& bytes, uint64_t section,
+    const storage::CsrRef& csr, uint64_t row) {
+  const uint64_t ends = section + csr.row_ends.offset;
+  const uint64_t begin =
+      row == 0 ? 0 : ReadPod<uint64_t>(bytes, ends + (row - 1) * 8);
+  return {begin, ReadPod<uint64_t>(bytes, ends + row * 8)};
+}
+
 /// Recomputes the payload checksum after a surgical mutation, so the
 /// file models an attacker-authored snapshot rather than bit rot.
 inline void FixChecksum(std::vector<uint8_t>* bytes) {
@@ -60,6 +75,48 @@ inline void FixChecksum(std::vector<uint8_t>* bytes) {
   std::memcpy(bytes->data() + offsetof(storage::FileHeader,
                                        payload_checksum),
               &checksum, sizeof(checksum));
+}
+
+/// Reverses the order of `token`'s cell-token postings at `table` in
+/// a snapshot image and fixes the checksum. The writer lists a table's
+/// columns in ascending order; DeepValidate checks only table order, so
+/// the result still opens validated. Returns how many postings the run
+/// holds (0 when the token has none at `table`).
+inline size_t ReverseCellTokenRun(std::vector<uint8_t>* bytes,
+                                  std::string_view token, int32_t table) {
+  const uint64_t section =
+      SectionOffsetOf(*bytes, storage::kMatchSupportSection);
+  const auto h = ReadPod<storage::MatchSupportHeader>(*bytes, section);
+  const uint64_t ends = section + h.cell_tokens.ends.offset;
+  const uint64_t chars = section + h.cell_tokens.bytes.offset;
+  uint64_t row = 0, begin = 0;
+  for (; row < h.cell_tokens.ends.count; ++row) {
+    const uint64_t end = ReadPod<uint64_t>(*bytes, ends + row * 8);
+    if (std::string_view(
+            reinterpret_cast<const char*>(bytes->data() + chars + begin),
+            end - begin) == token) {
+      break;
+    }
+    begin = end;
+  }
+  if (row == h.cell_tokens.ends.count) return 0;
+  const auto [first, last] =
+      CsrRowRange(*bytes, section, h.cell_token_postings, row);
+  const uint64_t values = section + h.cell_token_postings.values.offset;
+  std::vector<CellTokenRef> run;
+  uint64_t run_begin = 0;
+  for (uint64_t i = first; i < last; ++i) {
+    auto ref =
+        ReadPod<CellTokenRef>(*bytes, values + i * sizeof(CellTokenRef));
+    if (ref.table != table) continue;
+    if (run.empty()) run_begin = i;
+    run.push_back(ref);
+  }
+  std::reverse(run.begin(), run.end());
+  std::memcpy(bytes->data() + values + run_begin * sizeof(CellTokenRef),
+              run.data(), run.size() * sizeof(CellTokenRef));
+  FixChecksum(bytes);
+  return run.size();
 }
 
 }  // namespace testing_util
