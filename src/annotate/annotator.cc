@@ -2,7 +2,6 @@
 
 #include "common/timer.h"
 #include "inference/unique_constraint.h"
-#include "model/label_space.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -29,8 +28,7 @@ TableAnnotator::TableAnnotator(const CatalogView* catalog,
 TableAnnotation TableAnnotator::Annotate(const Table& table,
                                          AnnotationTiming* timing,
                                          AnnotateExplain* explain) {
-  TableCandidates candidates;
-  return AnnotateWithCandidates(table, &candidates, timing, explain);
+  return AnnotateWithCandidates(table, &candidates_, timing, explain);
 }
 
 TableAnnotation TableAnnotator::AnnotateWithCandidates(
@@ -42,22 +40,21 @@ TableAnnotation TableAnnotator::AnnotateWithCandidates(
   TableAnnotation annotation;
   {
     obs::TraceSpan span("annotate.candidates");
-    *candidates_out = GenerateCandidates(table, *index_, &closure_,
-                                         options_.candidates,
-                                         &candidate_workspace_);
+    GenerateCandidates(table, *index_, &closure_, options_.candidates,
+                       &candidate_workspace_, candidates_out);
   }
   const double candidate_seconds = stage.ElapsedSeconds();
 
   stage.Restart();
   obs::TraceSpan graph_span("annotate.graph_build");
   obs::TraceSpan label_space_span("annotate.label_space");
-  TableLabelSpace space = TableLabelSpace::Build(table, *candidates_out);
+  space_.Rebuild(table, *candidates_out);
   label_space_span.End();
   TableGraphOptions graph_options;
   graph_options.use_relations = options_.use_relations;
   graph_options.factor_rep = options_.factor_rep;
-  TableGraph graph = BuildTableGraph(table, space, &features_,
-                                     options_.weights, graph_options);
+  BuildTableGraph(table, space_, &features_, options_.weights, graph_options,
+                  &graph_scratch_, &graph_);
   graph_span.End();
   const double graph_seconds = stage.ElapsedSeconds();
 
@@ -67,12 +64,12 @@ TableAnnotation TableAnnotator::AnnotateWithCandidates(
     obs::TraceSpan bp_span("annotate.bp");
     BpOptions bp_options = options_.bp;
     if (explain != nullptr) bp_options.capture_convergence = true;
-    bp = RunBeliefPropagation(graph.graph, bp_options, &bp_workspace_);
+    bp = RunBeliefPropagation(graph_.graph, bp_options, &bp_workspace_);
   }
   {
     obs::TraceSpan decode_span("annotate.decode");
-    annotation = graph.DecodeAssignment(bp.assignment, space);
-    ApplyUniqueConstraint(table, space, &annotation);
+    annotation = graph_.DecodeAssignment(bp.assignment, space_);
+    ApplyUniqueConstraint(table, space_, &annotation);
   }
   const double inference_seconds = stage.ElapsedSeconds();
 
@@ -97,7 +94,7 @@ TableAnnotation TableAnnotator::AnnotateWithCandidates(
             static_cast<int64_t>(candidates_out->cells[r][c].size());
       }
       col.decoded_type = annotation.column_types[c];
-      const int tv = graph.type_var[c];
+      const int tv = graph_.type_var[c];
       if (tv >= 0 &&
           tv < static_cast<int>(bp.decode_margins.size())) {
         col.decode_margin = bp.decode_margins[tv];
@@ -136,8 +133,8 @@ void TableAnnotator::ApplyUniqueConstraint(const Table& table,
     std::vector<std::vector<EntityId>> domains(table.rows());
     std::vector<std::vector<double>> scores(table.rows());
     for (int r = 0; r < table.rows(); ++r) {
-      const auto& domain = space.EntityDomain(r, c);
-      domains[r] = domain;
+      const std::span<const EntityId> domain = space.EntityDomain(r, c);
+      domains[r].assign(domain.begin(), domain.end());
       features_.Phi1Logs(options_.weights, table.cell(r, c), domain,
                          &scores[r]);
       if (t == kNa) continue;

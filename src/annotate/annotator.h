@@ -9,13 +9,12 @@
 #include "inference/belief_propagation.h"
 #include "inference/table_graph.h"
 #include "model/features.h"
+#include "model/label_space.h"
 #include "model/weights.h"
 #include "table/annotation.h"
 #include "table/table.h"
 
 namespace webtab {
-
-class TableLabelSpace;  // model/label_space.h
 
 /// Everything configurable about the collective annotator.
 struct AnnotatorOptions {
@@ -138,6 +137,13 @@ class TableAnnotator {
   /// the BP workspace (and, through the annotator, across serving
   /// requests and corpus-annotation work items).
   CandidateWorkspace candidate_workspace_;
+  /// Annotate's candidates, label space and factor graph, rebuilt in
+  /// place per table with the graph build's scratch, so a warmed worker
+  /// allocates little more than the annotation it returns.
+  TableCandidates candidates_;
+  TableLabelSpace space_;
+  TableGraph graph_;
+  TableGraphScratch graph_scratch_;
 };
 
 }  // namespace webtab

@@ -1,15 +1,10 @@
 #include "catalog/catalog.h"
 
+#include <algorithm>
+
 #include "common/logging.h"
 
 namespace webtab {
-
-namespace {
-uint64_t PairKey(EntityId e1, EntityId e2) {
-  return (static_cast<uint64_t>(static_cast<uint32_t>(e1)) << 32) |
-         static_cast<uint32_t>(e2);
-}
-}  // namespace
 
 std::string_view RelationCardinalityName(RelationCardinality c) {
   switch (c) {
@@ -23,6 +18,53 @@ std::string_view RelationCardinalityName(RelationCardinality c) {
       return "one-to-one";
   }
   return "unknown";
+}
+
+int64_t PairIndex::Find(EntityId e1, EntityId e2) const {
+  if (e1 < 0 || static_cast<uint64_t>(e1) + 1 >= subject_start.size()) {
+    return -1;
+  }
+  const uint64_t key = Key(e1, e2);
+  const auto begin = keys.begin() + static_cast<int64_t>(subject_start[e1]);
+  const auto end = keys.begin() + static_cast<int64_t>(subject_start[e1 + 1]);
+  const auto it = std::lower_bound(begin, end, key);
+  if (it == end || *it != key) return -1;
+  return it - keys.begin();
+}
+
+Status BuildPairSubjectStart(std::span<const uint64_t> keys,
+                             int32_t num_entities,
+                             std::vector<uint64_t>* subject_start) {
+  const uint64_t limit = static_cast<uint64_t>(std::max(num_entities, 0));
+  for (size_t i = 0; i < keys.size(); ++i) {
+    if (i > 0 && keys[i] <= keys[i - 1]) {
+      return Status::ParseError("pair keys not strictly ascending");
+    }
+    if ((keys[i] >> 32) >= limit || (keys[i] & 0xFFFFFFFFu) >= limit) {
+      return Status::ParseError("pair keys: entity out of range");
+    }
+  }
+  subject_start->assign(limit + 1, 0);
+  for (const uint64_t key : keys) ++(*subject_start)[(key >> 32) + 1];
+  for (uint64_t e = 0; e < limit; ++e) {
+    (*subject_start)[e + 1] += (*subject_start)[e];
+  }
+  return Status::Ok();
+}
+
+std::vector<std::pair<RelationId, bool>> CatalogView::RelationsBetween(
+    EntityId e1, EntityId e2) const {
+  std::vector<std::pair<RelationId, bool>> out;
+  const PairIndex pairs = pair_index();
+  const int64_t fwd = pairs.Find(e1, e2);
+  if (fwd >= 0) {
+    for (RelationId r : pairs.Relations(fwd)) out.emplace_back(r, false);
+  }
+  const int64_t rev = pairs.Find(e2, e1);
+  if (rev >= 0) {
+    for (RelationId r : pairs.Relations(rev)) out.emplace_back(r, true);
+  }
+  return out;
 }
 
 int64_t Catalog::num_tuples() const {
@@ -63,12 +105,11 @@ RelationId Catalog::FindRelationByName(std::string_view name) const {
 
 bool Catalog::HasTuple(RelationId b, EntityId e1, EntityId e2) const {
   if (!ValidRelation(b)) return false;
-  auto it = tuples_by_pair_.find(PairKey(e1, e2));
-  if (it == tuples_by_pair_.end()) return false;
-  for (RelationId r : it->second) {
-    if (r == b) return true;
-  }
-  return false;
+  const PairIndex pairs = pair_index();
+  const int64_t i = pairs.Find(e1, e2);
+  if (i < 0) return false;
+  const std::span<const RelationId> rels = pairs.Relations(i);
+  return std::binary_search(rels.begin(), rels.end(), b);
 }
 
 std::span<const EntityId> Catalog::ObjectsOf(RelationId b,
@@ -87,33 +128,6 @@ std::span<const EntityId> Catalog::SubjectsOf(RelationId b,
   auto it = index.find(e2);
   return it == index.end() ? std::span<const EntityId>()
                            : std::span<const EntityId>(it->second);
-}
-
-std::vector<std::pair<RelationId, bool>> Catalog::RelationsBetween(
-    EntityId e1, EntityId e2) const {
-  std::vector<std::pair<RelationId, bool>> out;
-  auto fwd = tuples_by_pair_.find(PairKey(e1, e2));
-  if (fwd != tuples_by_pair_.end()) {
-    for (RelationId r : fwd->second) out.emplace_back(r, false);
-  }
-  auto rev = tuples_by_pair_.find(PairKey(e2, e1));
-  if (rev != tuples_by_pair_.end()) {
-    for (RelationId r : rev->second) out.emplace_back(r, true);
-  }
-  return out;
-}
-
-void Catalog::ForEachRelationBetween(
-    EntityId e1, EntityId e2,
-    const std::function<void(RelationId, bool)>& fn) const {
-  auto fwd = tuples_by_pair_.find(PairKey(e1, e2));
-  if (fwd != tuples_by_pair_.end()) {
-    for (RelationId r : fwd->second) fn(r, false);
-  }
-  auto rev = tuples_by_pair_.find(PairKey(e2, e1));
-  if (rev != tuples_by_pair_.end()) {
-    for (RelationId r : rev->second) fn(r, true);
-  }
 }
 
 int64_t Catalog::DistinctSubjects(RelationId b) const {

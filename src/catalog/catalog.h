@@ -133,11 +133,10 @@ class Catalog : public CatalogView {
   std::span<const EntityId> SubjectsOf(RelationId b,
                                        EntityId e2) const override;
 
-  std::vector<std::pair<RelationId, bool>> RelationsBetween(
-      EntityId e1, EntityId e2) const override;
-  void ForEachRelationBetween(
-      EntityId e1, EntityId e2,
-      const std::function<void(RelationId, bool)>& fn) const override;
+  PairIndex pair_index() const override {
+    return PairIndex{pair_keys_, pair_rel_ends_, pair_rels_,
+                     pair_subject_start_};
+  }
 
   int64_t DistinctSubjects(RelationId b) const override;
   int64_t DistinctObjects(RelationId b) const override;
@@ -155,8 +154,11 @@ class Catalog : public CatalogView {
   std::unordered_map<std::string, RelationId> relation_by_name_;
 
   // Tuple lookup indexes, built by CatalogBuilder::Build.
-  // Key: (e1 << 32) | e2 for pair lookup across all relations.
-  std::unordered_map<uint64_t, std::vector<RelationId>> tuples_by_pair_;
+  // The pair index (PairIndex's layout), across all relations.
+  std::vector<uint64_t> pair_keys_;
+  std::vector<uint64_t> pair_rel_ends_;
+  std::vector<RelationId> pair_rels_;
+  std::vector<uint64_t> pair_subject_start_;
   // Per relation: forward (subject -> objects) and reverse indexes.
   std::vector<std::unordered_map<EntityId, std::vector<EntityId>>>
       objects_index_;

@@ -9,11 +9,6 @@
 namespace webtab {
 
 namespace {
-uint64_t PairKey(EntityId e1, EntityId e2) {
-  return (static_cast<uint64_t>(static_cast<uint32_t>(e1)) << 32) |
-         static_cast<uint32_t>(e2);
-}
-
 bool Contains(const std::vector<int32_t>& v, int32_t x) {
   return std::find(v.begin(), v.end(), x) != v.end();
 }
@@ -206,6 +201,7 @@ Result<Catalog> CatalogBuilder::Build() {
   }
 
   // Sort and dedup tuples; build lookup indexes.
+  std::vector<std::pair<uint64_t, RelationId>> pair_entries;
   catalog_.objects_index_.resize(catalog_.num_relations());
   catalog_.subjects_index_.resize(catalog_.num_relations());
   for (RelationId b = 0; b < catalog_.num_relations(); ++b) {
@@ -219,11 +215,31 @@ Result<Catalog> CatalogBuilder::Build() {
     rel.tuples.erase(std::unique(rel.tuples.begin(), rel.tuples.end()),
                      rel.tuples.end());
     for (const auto& [e1, e2] : rel.tuples) {
-      catalog_.tuples_by_pair_[PairKey(e1, e2)].push_back(b);
+      pair_entries.emplace_back(PairIndex::Key(e1, e2), b);
       catalog_.objects_index_[b][e1].push_back(e2);
       catalog_.subjects_index_[b][e2].push_back(e1);
     }
   }
+
+  // Pair index: a stable sort keeps each key's relations in ascending id
+  // order (the entries were appended by ascending relation).
+  std::stable_sort(pair_entries.begin(), pair_entries.end(),
+                   [](const auto& a, const auto& b) {
+                     return a.first < b.first;
+                   });
+  for (size_t i = 0; i < pair_entries.size(); ++i) {
+    if (i == 0 || pair_entries[i].first != pair_entries[i - 1].first) {
+      if (i > 0) catalog_.pair_rel_ends_.push_back(i);
+      catalog_.pair_keys_.push_back(pair_entries[i].first);
+    }
+    catalog_.pair_rels_.push_back(pair_entries[i].second);
+  }
+  if (!pair_entries.empty()) {
+    catalog_.pair_rel_ends_.push_back(pair_entries.size());
+  }
+  WEBTAB_CHECK_OK(BuildPairSubjectStart(catalog_.pair_keys_,
+                                        catalog_.num_entities(),
+                                        &catalog_.pair_subject_start_));
 
   built_ = true;
   return std::move(catalog_);

@@ -2,7 +2,6 @@
 #define WEBTAB_CATALOG_CATALOG_VIEW_H_
 
 #include <cstdint>
-#include <functional>
 #include <span>
 #include <string_view>
 #include <utility>
@@ -30,6 +29,41 @@ std::string_view RelationCardinalityName(RelationCardinality c);
 using EntityPair = std::pair<EntityId, EntityId>;
 static_assert(sizeof(EntityPair) == 2 * sizeof(EntityId),
               "EntityPair must be two packed ids for zero-copy snapshots");
+
+/// The catalog's global pair index, one sorted layout for both backends:
+/// keys[i] = (uint64(e1) << 32) | uint32(e2), strictly ascending over
+/// every tuple of every relation; the relations holding tuple i are
+/// Relations(i), ascending by id; and subject e's run — the keys whose
+/// subject is e, so its objects ascend — is [subject_start[e],
+/// subject_start[e + 1]), found in O(1).
+struct PairIndex {
+  std::span<const uint64_t> keys;
+  std::span<const uint64_t> rel_ends;  // [keys.size()], CSR ends into rels.
+  std::span<const RelationId> rels;
+  std::span<const uint64_t> subject_start;  // [num_entities + 1].
+
+  static uint64_t Key(EntityId e1, EntityId e2) {
+    return (static_cast<uint64_t>(static_cast<uint32_t>(e1)) << 32) |
+           static_cast<uint32_t>(e2);
+  }
+  static EntityId ObjectOf(uint64_t key) {
+    return static_cast<EntityId>(static_cast<uint32_t>(key));
+  }
+  std::span<const RelationId> Relations(uint64_t i) const {
+    const uint64_t begin = i == 0 ? 0 : rel_ends[i - 1];
+    return rels.subspan(begin, rel_ends[i] - begin);
+  }
+  /// Index of tuple (e1, e2) in keys, or -1 when no relation holds it.
+  int64_t Find(EntityId e1, EntityId e2) const;
+};
+
+/// Builds PairIndex::subject_start for `keys` over `num_entities`
+/// entities, after one O(n) pass proving what the runs assume: keys
+/// strictly ascending and both entity halves in [0, num_entities).
+/// ParseError otherwise (a snapshot's pair index comes from the file).
+Status BuildPairSubjectStart(std::span<const uint64_t> keys,
+                             int32_t num_entities,
+                             std::vector<uint64_t>* subject_start);
 
 /// Read-only access to a catalog of types, entities and relations
 /// (paper §3.1). Two implementations exist: the in-memory `Catalog`
@@ -105,21 +139,14 @@ class CatalogView {
   /// All relations containing (e1, e2) as a tuple, in either role order:
   /// result pairs are (relation, swapped) where swapped=true means the
   /// tuple is b(e2, e1). Relations listed in ascending id order per
-  /// direction (forward first), matching the in-memory build order.
-  virtual std::vector<std::pair<RelationId, bool>> RelationsBetween(
-      EntityId e1, EntityId e2) const = 0;
+  /// direction (forward first). Reads pair_index().
+  std::vector<std::pair<RelationId, bool>> RelationsBetween(
+      EntityId e1, EntityId e2) const;
 
-  /// Visits each (relation, swapped) of RelationsBetween(e1, e2) in the
-  /// same order without materializing a vector — the hot-path form the
-  /// candidate relation-vote sweep batches over. Backends override to
-  /// walk their tuple indexes directly.
-  virtual void ForEachRelationBetween(
-      EntityId e1, EntityId e2,
-      const std::function<void(RelationId, bool)>& fn) const {
-    for (const auto& [rel, swapped] : RelationsBetween(e1, e2)) {
-      fn(rel, swapped);
-    }
-  }
+  /// The global pair index over every relation's tuples. Both backends
+  /// hold it in the same sorted layout (see PairIndex); the candidate
+  /// relation vote intersects its per-subject runs directly.
+  virtual PairIndex pair_index() const = 0;
 
   // --- Checked accessors (hostile-id safe) ---
   // The raw accessors above CHECK-abort on an out-of-range id. That is

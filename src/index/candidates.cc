@@ -1,12 +1,45 @@
 #include "index/candidates.h"
 
 #include <algorithm>
-#include <functional>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
 namespace webtab {
+
+namespace {
+
+/// Calls visit(i) for every key i of a subject run [begin, end) of
+/// `pairs` whose object is in `objects` (ascending, unique), in key
+/// order. Each object's key is galloped to from the previous object's
+/// position, so a short run costs about a linear merge and a hub
+/// subject's long run is not walked key by key.
+template <typename Visit>
+void IntersectRun(const PairIndex& pairs, uint64_t begin, uint64_t end,
+                  std::span<const EntityId> objects, Visit&& visit) {
+  if (begin == end) return;
+  const uint64_t* keys = pairs.keys.data();
+  const uint64_t subject = keys[begin] & ~uint64_t{0xFFFFFFFF};
+  uint64_t lo = begin;
+  for (const EntityId o : objects) {
+    const uint64_t target = subject | static_cast<uint32_t>(o);
+    // Every key in [begin, lo) is below target; double the step until a
+    // key reaches it, then binary search the last bracket.
+    uint64_t hi = lo;
+    for (uint64_t step = 1; hi < end && keys[hi] < target; step <<= 1) {
+      lo = hi + 1;
+      hi = lo + step;
+    }
+    hi = std::min(hi, end);
+    lo = static_cast<uint64_t>(std::lower_bound(keys + lo, keys + hi,
+                                                target) -
+                               keys);
+    if (lo == end) return;
+    if (keys[lo] == target) visit(lo++);
+  }
+}
+
+}  // namespace
 
 TableCandidates GenerateCandidates(const Table& table,
                                    const LemmaIndexView& index,
@@ -14,12 +47,25 @@ TableCandidates GenerateCandidates(const Table& table,
                                    const CandidateOptions& options,
                                    CandidateWorkspace* workspace) {
   CandidateWorkspace transient;
-  CandidateWorkspace* ws = workspace != nullptr ? workspace : &transient;
-
   TableCandidates out;
-  out.cells.assign(table.rows(),
-                   std::vector<std::vector<LemmaHit>>(table.cols()));
-  out.column_types.assign(table.cols(), {});
+  GenerateCandidates(table, index, closure, options,
+                     workspace != nullptr ? workspace : &transient, &out);
+  return out;
+}
+
+void GenerateCandidates(const Table& table, const LemmaIndexView& index,
+                        ClosureCache* closure,
+                        const CandidateOptions& options,
+                        CandidateWorkspace* ws, TableCandidates* out_ptr) {
+  TableCandidates& out = *out_ptr;
+  out.cells.resize(table.rows());
+  for (std::vector<std::vector<LemmaHit>>& row : out.cells) {
+    row.resize(table.cols());
+    for (std::vector<LemmaHit>& cell : row) cell.clear();
+  }
+  out.column_types.resize(table.cols());
+  for (std::vector<TypeId>& types : out.column_types) types.clear();
+  out.relations.clear();
 
   // --- Entity candidates per cell: one batched probe per column (§4.3).
   // The batch dedupes repeated cell strings, fetches each distinct
@@ -57,6 +103,18 @@ TableCandidates GenerateCandidates(const Table& table,
       } else {
         out.cells[r][c] = out.cells[col.first_row[d]][c];
       }
+    }
+    // Each distinct cell's hit ids, ascending, for the relation vote's
+    // run intersections (hit ids are unique within a cell).
+    col.hit_begin.assign(1, 0);
+    col.hit_ids.clear();
+    for (int d = 0; d < col.num_distinct; ++d) {
+      for (const LemmaHit& hit : ws->batch.Hits(d)) {
+        col.hit_ids.push_back(hit.id);
+      }
+      std::sort(col.hit_ids.begin() + col.hit_begin.back(),
+                col.hit_ids.end());
+      col.hit_begin.push_back(static_cast<int>(col.hit_ids.size()));
     }
   }
 
@@ -119,27 +177,29 @@ TableCandidates GenerateCandidates(const Table& table,
               });
     int keep = std::min<int>(static_cast<int>(ws->type_scored.size()),
                              options.max_types_per_column);
-    out.column_types[c].reserve(keep);
     for (int i = 0; i < keep; ++i) {
       out.column_types[c].push_back(ws->type_scored[i].type);
     }
   }
 
-  // --- Relation candidates per column pair (catalog tuple probes).
+  // --- Relation candidates per column pair (catalog pair index).
   // Votes run over distinct row-pairs weighted by how many rows carry
-  // the pair, so the tuple index is probed once per distinct entity
-  // pairing instead of once per row. ForEachRelationBetween visits the
-  // backend's index in place (no per-call vector), and votes accumulate
-  // in a dense rel*2+swapped array under the stamp discipline; the
-  // ranked sort is a total order, so output matches the std::map path.
+  // the pair. A distinct pair (d1, d2) intersects each of d1's hits'
+  // subject runs in the pair index with d2's hit ids (forward votes),
+  // and each of d2's hits' runs with d1's ids (swapped votes): exactly
+  // the tuples RelationsBetween(h1, h2) finds over every hit pair,
+  // without a lookup per pair. Votes are integer adds into a dense
+  // rel*2+swapped array under the stamp discipline, and the ranked sort
+  // is a total order, so visiting order cannot change the output.
   type_support_span.End();
   obs::TraceSpan relation_votes_span("annotate.relation_votes");
+  const PairIndex pairs = catalog.pair_index();
   const int32_t num_rel_keys = catalog.num_relations() * 2;
   if (static_cast<int32_t>(ws->rel_votes.size()) < num_rel_keys) {
     ws->rel_votes.resize(num_rel_keys, 0);
     ws->rel_stamp.resize(num_rel_keys, 0);
   }
-  for (int c1 = 0; c1 < table.cols(); ++c1) {
+  for (int c1 = 0; c1 < table.cols() && !pairs.keys.empty(); ++c1) {
     const CandidateWorkspace::ColumnDistincts& col1 = ws->columns[c1];
     if (col1.num_distinct == 0) continue;
     for (int c2 = c1 + 1; c2 < table.cols(); ++c2) {
@@ -152,24 +212,30 @@ TableCandidates GenerateCandidates(const Table& table,
         ws->rel_epoch = 1;
       }
       ws->rel_touched.clear();
-      int vote_multiplicity = 0;
-      const std::function<void(RelationId, bool)> vote_fn =
-          [&](RelationId rel, bool swapped) {
-            const int32_t key =
-                static_cast<int32_t>(rel) * 2 + (swapped ? 1 : 0);
-            if (ws->rel_stamp[key] != ws->rel_epoch) {
-              ws->rel_stamp[key] = ws->rel_epoch;
-              ws->rel_votes[key] = 0;
-              ws->rel_touched.push_back(key);
-            }
-            ws->rel_votes[key] += vote_multiplicity;
-          };
-      auto vote_pair = [&](int d1, int d2, int multiplicity) {
-        vote_multiplicity = multiplicity;
-        for (const LemmaHit& h1 : out.cells[col1.first_row[d1]][c1]) {
-          for (const LemmaHit& h2 : out.cells[col2.first_row[d2]][c2]) {
-            catalog.ForEachRelationBetween(h1.id, h2.id, vote_fn);
+      int multiplicity = 0;
+      auto vote = [&](uint64_t i, int swapped) {
+        for (const RelationId rel : pairs.Relations(i)) {
+          const int32_t key = static_cast<int32_t>(rel) * 2 + swapped;
+          if (ws->rel_stamp[key] != ws->rel_epoch) {
+            ws->rel_stamp[key] = ws->rel_epoch;
+            ws->rel_votes[key] = 0;
+            ws->rel_touched.push_back(key);
           }
+          ws->rel_votes[key] += multiplicity;
+        }
+      };
+      auto vote_forward = [&](uint64_t i) { vote(i, 0); };
+      auto vote_swapped = [&](uint64_t i) { vote(i, 1); };
+      auto vote_pair = [&](int d1, int d2) {
+        const std::span<const EntityId> ids1 = col1.HitIds(d1);
+        const std::span<const EntityId> ids2 = col2.HitIds(d2);
+        for (const EntityId e1 : ids1) {
+          IntersectRun(pairs, pairs.subject_start[e1],
+                       pairs.subject_start[e1 + 1], ids2, vote_forward);
+        }
+        for (const EntityId e2 : ids2) {
+          IntersectRun(pairs, pairs.subject_start[e2],
+                       pairs.subject_start[e2 + 1], ids1, vote_swapped);
         }
       };
       // Distinct row-pairs are runs of equal keys in the sorted row
@@ -187,8 +253,8 @@ TableCandidates GenerateCandidates(const Table& table,
         while (end < ws->pair_keys.size() && ws->pair_keys[end] == key) {
           ++end;
         }
-        vote_pair(static_cast<int>(key / nd2), static_cast<int>(key % nd2),
-                  static_cast<int>(end - begin));
+        multiplicity = static_cast<int>(end - begin);
+        vote_pair(static_cast<int>(key / nd2), static_cast<int>(key % nd2));
         begin = end;
       }
 
@@ -225,7 +291,6 @@ TableCandidates GenerateCandidates(const Table& table,
   tables->Add(1);
   cells->Add(static_cast<int64_t>(table.rows()) * table.cols());
   postings_walked->Add(ws->batch.postings_walked() - walked_before);
-  return out;
 }
 
 }  // namespace webtab

@@ -2,6 +2,7 @@
 #define WEBTAB_INDEX_CANDIDATES_H_
 
 #include <map>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -55,6 +56,15 @@ struct CandidateWorkspace {
     std::vector<int> row_distinct;   // Row -> distinct index, or -1.
     std::vector<int> row_count;      // Distinct -> multiplicity.
     std::vector<int> first_row;      // Distinct -> first row carrying it.
+    /// Distinct d's hit ids, ascending, are
+    /// hit_ids[hit_begin[d] .. hit_begin[d + 1]).
+    std::vector<int> hit_begin;
+    std::vector<EntityId> hit_ids;
+
+    std::span<const EntityId> HitIds(int d) const {
+      return std::span<const EntityId>(hit_ids).subspan(
+          hit_begin[d], hit_begin[d + 1] - hit_begin[d]);
+    }
   };
   std::vector<ColumnDistincts> columns;
 
@@ -105,6 +115,12 @@ TableCandidates GenerateCandidates(const Table& table,
                                    ClosureCache* closure,
                                    const CandidateOptions& options,
                                    CandidateWorkspace* workspace = nullptr);
+
+/// Same, into `out`, reusing its storage (the annotator keeps one).
+void GenerateCandidates(const Table& table, const LemmaIndexView& index,
+                        ClosureCache* closure,
+                        const CandidateOptions& options,
+                        CandidateWorkspace* workspace, TableCandidates* out);
 
 }  // namespace webtab
 

@@ -1,11 +1,9 @@
 #include "index/column_probe.h"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
 #include <limits>
 
-#include "exec/tid_list.h"
 #include "text/tokenizer.h"
 
 namespace webtab {
@@ -30,7 +28,6 @@ void ColumnProbeBatch::EnsureDenseAccumulator(const LemmaIndexView& index) {
   len_.assign(total, 0);
   epoch_ = 0;
   object_stamp_.assign(static_cast<size_t>(n), 0);
-  object_best_.assign(static_cast<size_t>(n), 0);
   object_epoch_ = 0;
 }
 
@@ -134,18 +131,20 @@ void ColumnProbeBatch::ScoreDistinct(int d, int max_hits, double min_score) {
   ReduceTouched(d, max_hits, min_score, query_norm, ntokens);
 }
 
-// Reduction over the touched batch, in selection-vector chunks: score
-// lane, then a branch-free keep of hits that can survive the min-score
-// filter, then the canonical per-object best fold (max score, ties
-// toward the lowest lemma ordinal). The keep is exact: the final filter
-// erases every hit below min_score, and such hits sort after every
-// surviving hit, so truncate-then-erase equals erase-then-truncate.
+// Reduction over the touched lemmas into an exact bounded top-k of
+// objects. top_ holds at most max_hits objects in the final order (score
+// desc, id asc), each with its best lemma so far (max score, ties toward
+// the lowest lemma ordinal). An object's best only rises, so an object
+// outside a full top can enter only with a lemma that beats the k-th
+// entry — and then that lemma is its best. Every hit below min_score is
+// dropped, as the kernel's final filter would drop it.
 void ColumnProbeBatch::ReduceTouched(int d, int max_hits, double min_score,
                                      double query_norm, size_t ntokens) {
   std::vector<LemmaHit>& out = hits_[d];
   const size_t num_touched = touched_g_.size();
-  ++object_epoch_;
-  best_.clear();
+  ++object_epoch_;  // object_stamp_[id] == object_epoch_: id is in top_.
+  top_.clear();
+  const size_t k = static_cast<size_t>(max_hits);
 
   // The kernel's per-hit expression
   //   s = min(fl(num / fl(qn * ln)), 1),
@@ -154,15 +153,16 @@ void ColumnProbeBatch::ReduceTouched(int d, int max_hits, double min_score,
   // distinct values per cell — so ln, the denominator fl(qn * ln), and
   // a prescreen threshold are cached per len under the cell's epoch
   // (pure reuse of identical subexpressions: every cached double is the
-  // value the kernel would compute in place). The prescreen is a
-  // conservative bound on the raw overlap sum: s >= num / (qn * ln) *
-  // (1 - 2u)^2 under round-to-nearest (unit roundoff u), so
-  //   T(len) = fl(fl(fl(min_score * qn) * ln) * (1 - 16u))
-  //          <= min_score * qn * ln * (1 - 8u)
-  // and num < T(len) proves s < min_score: the hit would be erased by
-  // the final filter regardless (sub-threshold hits sort last), so the
-  // element skips the divide and the fold without changing any output
-  // bit.
+  // value the kernel would compute in place). Two prescreens skip the
+  // divide. With eps = 2u (u the unit roundoff) and a threshold x,
+  //   T = fl(fl(x * denom) * (1 - 16 eps)) <= x * denom * (1 - 29u),
+  // and num < T gives num / denom < x * (1 - 29u), so s < x. For x =
+  // min_score (cached per len as fl(fl(fl(min_score * qn) * ln) *
+  // (1 - 16 eps)), the same bound) the hit would be filtered. For x =
+  // theta, the k-th score of a full top, the lemma ranks strictly after
+  // the k-th entry, so neither its object's entry nor the top can
+  // change. The strict < keeps a lemma scoring exactly theta, which
+  // enters when its id is lower than the k-th entry's.
   const double sqrt_ntokens = std::sqrt(static_cast<double>(ntokens));
   const bool screen = min_score > 0.0 && query_norm > 0.0;
   const double mq = min_score * query_norm;
@@ -171,78 +171,68 @@ void ColumnProbeBatch::ReduceTouched(int d, int max_hits, double min_score,
   if (len_cache_.empty()) {
     len_cache_.assign(kLenCacheSize, LenCache{});
   }
+  auto ranks_before = [](const LemmaHit& a, const LemmaHit& b) {
+    if (a.score != b.score) return a.score > b.score;
+    return a.id < b.id;
+  };
 
-  exec::TidList sel;
-  std::array<double, exec::kBatchSize> score_lane;
-  for (size_t cb = 0; cb < num_touched; cb += exec::kBatchSize) {
-    const uint32_t n = static_cast<uint32_t>(
-        std::min<size_t>(exec::kBatchSize, num_touched - cb));
-    for (uint32_t j = 0; j < n; ++j) {
-      const int64_t g = touched_g_[cb + j];
-      const double num = acc_[g];
-      const int32_t len = len_[g];
-      double score;
-      if (len < kLenCacheSize) {
-        LenCache& lc = len_cache_[len];
-        if (lc.stamp != epoch_) {
-          lc.stamp = epoch_;
-          lc.ln = std::sqrt(static_cast<double>(len)) * query_norm /
-                  sqrt_ntokens;
-          lc.denom = query_norm * lc.ln;
-          lc.screen = screen ? mq * lc.ln * kScreenSlack : -1.0;
-        }
-        if (num < lc.screen) {
-          score_lane[j] = -1.0;  // Provably below min_score.
-          continue;
-        }
-        score = lc.ln > 0 ? num / lc.denom : 0.0;
-      } else {
-        const double lemma_norm = std::sqrt(static_cast<double>(len)) *
-                                  query_norm / sqrt_ntokens;
-        score = lemma_norm > 0 ? num / (query_norm * lemma_norm) : 0.0;
+  for (size_t j = 0; j < num_touched; ++j) {
+    const int64_t g = touched_g_[j];
+    const double num = acc_[g];
+    const int32_t len = len_[g];
+    double score;
+    if (len < kLenCacheSize) {
+      LenCache& lc = len_cache_[len];
+      if (lc.stamp != epoch_) {
+        lc.stamp = epoch_;
+        lc.ln = std::sqrt(static_cast<double>(len)) * query_norm /
+                sqrt_ntokens;
+        lc.denom = query_norm * lc.ln;
+        lc.screen = screen ? mq * lc.ln * kScreenSlack : -1.0;
       }
-      score_lane[j] = std::min(score, 1.0);
-    }
-    uint32_t* keep = sel.mutable_data();
-    uint32_t m = 0;
-    for (uint32_t j = 0; j < n; ++j) {
-      keep[m] = j;
-      m += static_cast<uint32_t>(score_lane[j] >= min_score);
-    }
-    sel.SetSize(m);
-    for (uint32_t jj = 0; jj < m; ++jj) {
-      const uint32_t j = keep[jj];
-      const double score = score_lane[j];
-      const int32_t id = touched_id_[cb + j];
-      const int32_t ord = touched_ord_[cb + j];
-      if (object_stamp_[id] != object_epoch_) {
-        object_stamp_[id] = object_epoch_;
-        object_best_[id] = static_cast<int32_t>(best_.size());
-        best_.push_back(LemmaHit{id, ord, score});
-      } else {
-        LemmaHit& cur = best_[object_best_[id]];
-        if (cur.score < score ||
-            (cur.score == score && ord < cur.lemma_ord)) {
-          cur = LemmaHit{id, ord, score};
-        }
+      if (num < lc.screen) continue;  // Provably below min_score.
+      if (top_.size() == k && num < top_.back().score * lc.denom *
+                                        kScreenSlack) {
+        continue;  // Provably below theta.
       }
+      score = lc.ln > 0 ? num / lc.denom : 0.0;
+    } else {
+      const double lemma_norm = std::sqrt(static_cast<double>(len)) *
+                                query_norm / sqrt_ntokens;
+      score = lemma_norm > 0 ? num / (query_norm * lemma_norm) : 0.0;
+    }
+    score = std::min(score, 1.0);
+    if (score < min_score) continue;
+
+    const LemmaHit hit{touched_id_[j], touched_ord_[j], score};
+    size_t pos;
+    if (object_stamp_[hit.id] == object_epoch_) {
+      pos = 0;
+      while (top_[pos].id != hit.id) ++pos;
+      LemmaHit& cur = top_[pos];
+      if (!(cur.score < score ||
+            (cur.score == score && hit.lemma_ord < cur.lemma_ord))) {
+        continue;
+      }
+      cur = hit;
+    } else if (top_.size() < k) {
+      object_stamp_[hit.id] = object_epoch_;
+      pos = top_.size();
+      top_.push_back(hit);
+    } else if (ranks_before(hit, top_.back())) {
+      object_stamp_[top_.back().id] = 0;  // Evicted.
+      object_stamp_[hit.id] = object_epoch_;
+      pos = top_.size() - 1;
+      top_.back() = hit;
+    } else {
+      continue;
+    }
+    // The entry at pos only rose: move it up to its place.
+    for (; pos > 0 && ranks_before(top_[pos], top_[pos - 1]); --pos) {
+      std::swap(top_[pos], top_[pos - 1]);
     }
   }
-
-  // best_ holds one hit per object (unique ids), so (score desc, id asc)
-  // is a total order and a partial top-max_hits copy is identical to the
-  // kernel's full sort + truncate.
-  out.resize(std::min<size_t>(best_.size(), static_cast<size_t>(max_hits)));
-  std::partial_sort_copy(best_.begin(), best_.end(), out.begin(), out.end(),
-                         [](const LemmaHit& a, const LemmaHit& b) {
-                           if (a.score != b.score) return a.score > b.score;
-                           return a.id < b.id;  // Deterministic tie-break.
-                         });
-  out.erase(std::remove_if(out.begin(), out.end(),
-                           [&](const LemmaHit& h) {
-                             return h.score < min_score;
-                           }),
-            out.end());
+  out.assign(top_.begin(), top_.end());
 }
 
 }  // namespace webtab

@@ -74,8 +74,9 @@ class ColumnProbeBatch {
   /// Scores distinct cell `d` into hits_[d].
   void ScoreDistinct(int d, int max_hits, double min_score);
 
-  /// Folds the touched-lemma batch into hits_[d]: chunked score lane,
-  /// branch-free min-score keep, per-object best, final ranking.
+  /// Folds the touched lemmas into hits_[d]: an exact bounded top-k of
+  /// objects, each at its best lemma, screened by min_score and, once
+  /// the top is full, by its k-th score.
   void ReduceTouched(int d, int max_hits, double min_score,
                      double query_norm, size_t ntokens);
 
@@ -128,9 +129,10 @@ class ColumnProbeBatch {
 
   // --- Per-object reduction scratch (sized per catalog). ---
   int64_t object_epoch_ = 0;
-  std::vector<int64_t> object_stamp_;  // Per object id.
-  std::vector<int32_t> object_best_;   // Per object id: index into best_.
-  std::vector<LemmaHit> best_;         // Per-cell best hit per object.
+  /// Per object id: object_epoch_ while the object is in top_.
+  std::vector<int64_t> object_stamp_;
+  /// The current cell's top objects, best first (score desc, id asc).
+  std::vector<LemmaHit> top_;
 
   std::vector<std::vector<LemmaHit>> hits_;
 

@@ -106,7 +106,7 @@ void DenseKernel(const FactorGraph::Factor& factor, const int* dims,
 /// default never overstate the marginal. Expected cost
 /// O(d_self + d_other + nnz); the rescan degenerates only at densities
 /// where emission already prefers the dense table.
-void SparsePairDirection(const std::vector<FactorGraph::SparseEntry>& all,
+void SparsePairDirection(std::span<const FactorGraph::SparseEntry> all,
                          double def, int d_self, int d_other,
                          const double* in_other, double* out,
                          std::vector<uint8_t>* marks_scratch) {
@@ -298,19 +298,21 @@ void BpWorkspace::Prepare(const FactorGraph& graph) {
   }
   belief_.assign(var_off_[num_vars], 0.0);
   for (int v = 0; v < num_vars; ++v) {
-    const auto& pot = graph.node_log_potential(v);
+    const std::span<const double> pot = graph.node_log_potential(v);
     std::copy(pot.begin(), pot.end(), belief_.begin() + var_off_[v]);
   }
 
+  factors_.clear();
+  for (int f = 0; f < num_factors; ++f) factors_.push_back(graph.factor(f));
   adj_start_.assign(num_factors + 1, 0);
   for (int f = 0; f < num_factors; ++f) {
     adj_start_[f + 1] =
-        adj_start_[f] + static_cast<int64_t>(graph.factor(f).vars.size());
+        adj_start_[f] + static_cast<int64_t>(factors_[f].vars.size());
   }
   const int64_t num_adj = adj_start_[num_factors];
   msg_off_.assign(num_adj + 1, 0);
   for (int f = 0; f < num_factors; ++f) {
-    const auto& vars = graph.factor(f).vars;
+    const std::span<const int> vars = factors_[f].vars;
     for (size_t i = 0; i < vars.size(); ++i) {
       const int64_t slot = adj_start_[f] + static_cast<int64_t>(i);
       msg_off_[slot + 1] = msg_off_[slot] + graph.domain_size(vars[i]);
@@ -321,7 +323,7 @@ void BpWorkspace::Prepare(const FactorGraph& graph) {
   order_.resize(num_factors);
   std::iota(order_.begin(), order_.end(), 0);
   std::stable_sort(order_.begin(), order_.end(), [&](int a, int b) {
-    return graph.factor(a).group < graph.factor(b).group;
+    return factors_[a].group < factors_[b].group;
   });
 
   version_.assign(num_vars, 1);
@@ -335,7 +337,7 @@ void BpWorkspace::Prepare(const FactorGraph& graph) {
   max_dom_ = max_dom;
   size_t max_arity = 1;
   for (int f = 0; f < num_factors; ++f) {
-    max_arity = std::max(max_arity, graph.factor(f).vars.size());
+    max_arity = std::max(max_arity, factors_[f].vars.size());
   }
   WEBTAB_CHECK(max_arity <= 8) << "factor arity above 8 unsupported";
   in_scratch_.resize(max_arity * static_cast<size_t>(max_dom));
@@ -359,7 +361,7 @@ BpResult RunBeliefPropagation(const FactorGraph& graph,
   for (int iter = 1; iter <= options.max_iterations; ++iter) {
     double residual = 0.0;
     for (int f : ws.order_) {
-      const auto& factor = graph.factor(f);
+      const FactorGraph::Factor& factor = ws.factors_[f];
       const int arity = static_cast<int>(factor.vars.size());
       const int64_t adj0 = ws.adj_start_[f];
 

@@ -69,6 +69,9 @@ class BpWorkspace {
 
   void Prepare(const FactorGraph& graph);
 
+  // Views of the graph's factors, taken once per run.
+  std::vector<FactorGraph::Factor> factors_;
+
   // Flat arenas. belief_ holds per-variable beliefs at var_off_[v];
   // msg_ holds factor->var messages at msg_off_[adj_start_[f] + i].
   std::vector<double> belief_;

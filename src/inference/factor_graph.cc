@@ -12,101 +12,136 @@ namespace {
 
 /// Implicit (pre-override) value of a kImplicitTernary factor at
 /// non-na labels (ls, lx, ly).
-double ImplicitValueAt(const FactorGraph::ImplicitTernarySpec& spec, int dx,
-                       int dy, int ls, int lx, int ly) {
+template <typename Spec>
+double ImplicitValueAt(const Spec& spec, int dx, int dy, int ls, int lx,
+                       int ly) {
   bool on = spec.gate_x[ls * dx + lx] != 0 && spec.gate_y[ls * dy + ly] != 0;
   double base = on ? spec.base_on[ls] : spec.base_off[ls];
   return base + spec.unary_x[ls * dx + lx] + spec.unary_y[ls * dy + ly];
 }
 
+/// CHECKs that sparse entries are in range of (d0, d1), sorted by
+/// (l0, l1) and unique.
+void CheckSparseEntries(std::span<const FactorGraph::SparseEntry> entries,
+                        int d0, int d1) {
+  for (size_t i = 0; i < entries.size(); ++i) {
+    const FactorGraph::SparseEntry& e = entries[i];
+    WEBTAB_CHECK(e.l0 >= 0 && e.l0 < d0 && e.l1 >= 0 && e.l1 < d1)
+        << "sparse entry out of range";
+    if (i > 0) {
+      const FactorGraph::SparseEntry& p = entries[i - 1];
+      WEBTAB_CHECK(p.l0 < e.l0 || (p.l0 == e.l0 && p.l1 < e.l1))
+          << "sparse entries must be sorted and unique";
+    }
+  }
+}
+
+template <typename T>
+int64_t Append(std::vector<T>* pool, std::span<const T> values) {
+  const int64_t offset = static_cast<int64_t>(pool->size());
+  pool->insert(pool->end(), values.begin(), values.end());
+  return offset;
+}
+
 }  // namespace
+
+void FactorGraph::Clear() {
+  domains_.clear();
+  node_off_.clear();
+  node_values_.clear();
+  factors_.clear();
+  var_pool_.clear();
+  value_pool_.clear();
+  entry_pool_.clear();
+  entry_t_pool_.clear();
+  gate_pool_.clear();
+  override_pool_.clear();
+}
 
 int FactorGraph::AddVariable(int domain_size) {
   WEBTAB_CHECK(domain_size >= 0);
   domains_.push_back(domain_size);
-  node_potentials_.emplace_back(domain_size, 0.0);
+  node_off_.push_back(static_cast<int64_t>(node_values_.size()));
+  node_values_.resize(node_values_.size() + domain_size, 0.0);
   return num_variables() - 1;
 }
 
-void FactorGraph::SetNodeLogPotential(int var,
-                                      std::vector<double> log_potential) {
+void FactorGraph::SetNodeLogPotential(
+    int var, std::span<const double> log_potential) {
   WEBTAB_CHECK(var >= 0 && var < num_variables());
   WEBTAB_CHECK(static_cast<int>(log_potential.size()) == domains_[var]);
-  node_potentials_[var] = std::move(log_potential);
+  std::copy(log_potential.begin(), log_potential.end(),
+            node_values_.begin() + node_off_[var]);
 }
 
 void FactorGraph::AddToNodeLogPotential(int var, int label, double delta) {
   WEBTAB_CHECK(var >= 0 && var < num_variables());
   WEBTAB_CHECK(label >= 0 && label < domains_[var]);
-  node_potentials_[var][label] += delta;
+  node_values_[node_off_[var] + label] += delta;
 }
 
-int FactorGraph::AddFactor(std::vector<int> vars, std::vector<double> table,
-                           int group) {
-  int64_t expected = 1;
+FactorGraph::FactorRecord& FactorGraph::BeginFactor(
+    std::span<const int> vars, FactorRep rep, int group) {
   for (int v : vars) {
     WEBTAB_CHECK(v >= 0 && v < num_variables());
     WEBTAB_CHECK(domains_[v] >= 1) << "factor over empty-domain variable";
+  }
+  FactorRecord& f = factors_.emplace_back();
+  f.rep = rep;
+  f.group = group;
+  f.arity = static_cast<int>(vars.size());
+  f.vars = Append(&var_pool_, vars);
+  return f;
+}
+
+int FactorGraph::AddFactor(std::span<const int> vars,
+                           std::span<const double> table, int group) {
+  int64_t expected = 1;
+  for (int v : vars) {
+    WEBTAB_CHECK(v >= 0 && v < num_variables());
     expected *= domains_[v];
   }
   WEBTAB_CHECK(static_cast<int64_t>(table.size()) == expected)
       << "factor table size mismatch";
-  Factor f;
-  f.vars = std::move(vars);
-  f.rep = FactorRep::kDense;
-  f.group = group;
-  f.table = std::move(table);
-  factors_.push_back(std::move(f));
+  FactorRecord& f = BeginFactor(vars, FactorRep::kDense, group);
+  f.values = Append(&value_pool_, table);
+  f.num_values = static_cast<int64_t>(table.size());
   return num_factors() - 1;
 }
 
-int FactorGraph::AddSparsePairFactor(std::vector<int> vars,
+int FactorGraph::AddSparsePairFactor(std::span<const int> vars,
                                      double default_log,
-                                     std::vector<SparseEntry> entries,
+                                     std::span<const SparseEntry> entries,
                                      int group) {
   WEBTAB_CHECK(vars.size() == 2);
-  for (int v : vars) {
-    WEBTAB_CHECK(v >= 0 && v < num_variables());
-    WEBTAB_CHECK(domains_[v] >= 1) << "factor over empty-domain variable";
-  }
+  FactorRecord& f = BeginFactor(vars, FactorRep::kSparsePair, group);
   const int d0 = domains_[vars[0]];
   const int d1 = domains_[vars[1]];
-  for (size_t i = 0; i < entries.size(); ++i) {
-    const SparseEntry& e = entries[i];
-    WEBTAB_CHECK(e.l0 >= 0 && e.l0 < d0 && e.l1 >= 0 && e.l1 < d1)
-        << "sparse entry out of range";
-    if (i > 0) {
-      const SparseEntry& p = entries[i - 1];
-      WEBTAB_CHECK(p.l0 < e.l0 || (p.l0 == e.l0 && p.l1 < e.l1))
-          << "sparse entries must be sorted and unique";
-    }
-  }
-  Factor f;
-  f.vars = std::move(vars);
-  f.rep = FactorRep::kSparsePair;
-  f.group = group;
+  CheckSparseEntries(entries, d0, d1);
   f.default_log = default_log;
-  f.entries = std::move(entries);
-  f.entries_t.reserve(f.entries.size());
-  for (const SparseEntry& e : f.entries) {
-    f.entries_t.push_back({e.l1, e.l0, e.value});
+  f.entries = Append(&entry_pool_, entries);
+  f.num_entries = static_cast<int64_t>(entries.size());
+  // Transpose: bucket the entries by l1. Walking them in (l0, l1) order
+  // leaves each bucket ascending in l0, so the result is sorted by the
+  // swapped pair.
+  transpose_cursor_.assign(d1 + 1, 0);
+  for (const SparseEntry& e : entries) ++transpose_cursor_[e.l1 + 1];
+  for (int l1 = 0; l1 < d1; ++l1) {
+    transpose_cursor_[l1 + 1] += transpose_cursor_[l1];
   }
-  std::sort(f.entries_t.begin(), f.entries_t.end(),
-            [](const SparseEntry& a, const SparseEntry& b) {
-              return a.l0 < b.l0 || (a.l0 == b.l0 && a.l1 < b.l1);
-            });
-  factors_.push_back(std::move(f));
+  const int64_t base = static_cast<int64_t>(entry_t_pool_.size());
+  entry_t_pool_.resize(entry_t_pool_.size() + entries.size());
+  for (const SparseEntry& e : entries) {
+    entry_t_pool_[base + transpose_cursor_[e.l1]++] = {e.l1, e.l0, e.value};
+  }
   return num_factors() - 1;
 }
 
-int FactorGraph::AddImplicitTernaryFactor(std::vector<int> vars,
-                                          ImplicitTernarySpec spec,
+int FactorGraph::AddImplicitTernaryFactor(std::span<const int> vars,
+                                          const ImplicitTernarySpec& spec,
                                           int group) {
   WEBTAB_CHECK(vars.size() == 3);
-  for (int v : vars) {
-    WEBTAB_CHECK(v >= 0 && v < num_variables());
-    WEBTAB_CHECK(domains_[v] >= 1) << "factor over empty-domain variable";
-  }
+  FactorRecord& f = BeginFactor(vars, FactorRep::kImplicitTernary, group);
   const int b = domains_[vars[0]];
   const int dx = domains_[vars[1]];
   const int dy = domains_[vars[2]];
@@ -134,13 +169,58 @@ int FactorGraph::AddImplicitTernaryFactor(std::vector<int> vars,
                  ImplicitValueAt(spec, dx, dy, o.ls, o.lx, o.ly))
         << "ternary override below implicit value";
   }
-  Factor f;
-  f.vars = std::move(vars);
-  f.rep = FactorRep::kImplicitTernary;
-  f.group = group;
-  f.implicit = std::move(spec);
-  factors_.push_back(std::move(f));
+  f.values = Append(&value_pool_, std::span<const double>(spec.base_on));
+  Append(&value_pool_, std::span<const double>(spec.base_off));
+  Append(&value_pool_, std::span<const double>(spec.unary_x));
+  Append(&value_pool_, std::span<const double>(spec.unary_y));
+  f.num_values = static_cast<int64_t>(value_pool_.size()) - f.values;
+  f.gates = Append(&gate_pool_, std::span<const uint8_t>(spec.gate_x));
+  Append(&gate_pool_, std::span<const uint8_t>(spec.gate_y));
+  f.entries =
+      Append(&override_pool_, std::span<const TernaryOverride>(spec.overrides));
+  f.num_entries = static_cast<int64_t>(spec.overrides.size());
   return num_factors() - 1;
+}
+
+FactorGraph::Factor FactorGraph::factor(int f) const {
+  const FactorRecord& r = factors_[f];
+  Factor out;
+  out.vars = std::span<const int>(var_pool_).subspan(r.vars, r.arity);
+  out.rep = r.rep;
+  out.group = r.group;
+  switch (r.rep) {
+    case FactorRep::kDense:
+      out.table =
+          std::span<const double>(value_pool_).subspan(r.values, r.num_values);
+      break;
+    case FactorRep::kSparsePair:
+      out.default_log = r.default_log;
+      out.entries = std::span<const SparseEntry>(entry_pool_)
+                        .subspan(r.entries, r.num_entries);
+      out.entries_t = std::span<const SparseEntry>(entry_t_pool_)
+                          .subspan(r.entries, r.num_entries);
+      break;
+    case FactorRep::kImplicitTernary: {
+      const int64_t b = domains_[out.vars[0]];
+      const int64_t bx = b * domains_[out.vars[1]];
+      const int64_t by = b * domains_[out.vars[2]];
+      const std::span<const double> values =
+          std::span<const double>(value_pool_).subspan(r.values, r.num_values);
+      const std::span<const uint8_t> gates =
+          std::span<const uint8_t>(gate_pool_).subspan(r.gates, bx + by);
+      ImplicitTernaryView& sp = out.implicit;
+      sp.base_on = values.subspan(0, b);
+      sp.base_off = values.subspan(b, b);
+      sp.unary_x = values.subspan(2 * b, bx);
+      sp.unary_y = values.subspan(2 * b + bx, by);
+      sp.gate_x = gates.subspan(0, bx);
+      sp.gate_y = gates.subspan(bx, by);
+      sp.overrides = std::span<const TernaryOverride>(override_pool_)
+                         .subspan(r.entries, r.num_entries);
+      break;
+    }
+  }
+  return out;
 }
 
 int64_t FactorGraph::TableIndex(const Factor& factor,
@@ -155,7 +235,7 @@ int64_t FactorGraph::TableIndex(const Factor& factor,
 
 double FactorGraph::FactorLogValue(int f,
                                    const std::vector<int>& labels) const {
-  const Factor& factor = factors_[f];
+  const Factor factor = this->factor(f);
   switch (factor.rep) {
     case FactorRep::kDense:
       return factor.table[TableIndex(factor, domains_, labels)];
@@ -210,7 +290,7 @@ double FactorGraph::ScoreAssignment(const std::vector<int>& labels) const {
       continue;
     }
     WEBTAB_CHECK(labels[v] >= 0 && labels[v] < domains_[v]);
-    score += node_potentials_[v][labels[v]];
+    score += node_values_[node_off_[v] + labels[v]];
   }
   for (int f = 0; f < num_factors(); ++f) {
     score += FactorLogValue(f, labels);
@@ -219,23 +299,12 @@ double FactorGraph::ScoreAssignment(const std::vector<int>& labels) const {
 }
 
 int64_t FactorGraph::FactorMemoryBytes() const {
-  int64_t bytes = 0;
-  for (const Factor& f : factors_) {
-    bytes += static_cast<int64_t>(f.table.capacity()) * sizeof(double);
-    bytes += static_cast<int64_t>(f.entries.capacity() +
-                                  f.entries_t.capacity()) *
-             sizeof(SparseEntry);
-    const ImplicitTernarySpec& s = f.implicit;
-    bytes += static_cast<int64_t>(s.base_on.capacity() +
-                                  s.base_off.capacity() +
-                                  s.unary_x.capacity() +
-                                  s.unary_y.capacity()) *
-             sizeof(double);
-    bytes += static_cast<int64_t>(s.gate_x.capacity() + s.gate_y.capacity());
-    bytes += static_cast<int64_t>(s.overrides.capacity()) *
-             sizeof(TernaryOverride);
-  }
-  return bytes;
+  return static_cast<int64_t>(value_pool_.size() * sizeof(double) +
+                              (entry_pool_.size() + entry_t_pool_.size()) *
+                                  sizeof(SparseEntry) +
+                              gate_pool_.size() +
+                              override_pool_.size() *
+                                  sizeof(TernaryOverride));
 }
 
 }  // namespace webtab

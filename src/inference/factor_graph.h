@@ -2,6 +2,8 @@
 #define WEBTAB_INFERENCE_FACTOR_GRAPH_H_
 
 #include <cstdint>
+#include <initializer_list>
+#include <span>
 #include <vector>
 
 namespace webtab {
@@ -48,6 +50,18 @@ namespace webtab {
 /// ScoreAssignment and SolveBruteForce evaluate all representations
 /// through FactorLogValue, so structured and dense builds of the same
 /// model are interchangeable (see tests/factor_rep_equivalence_test.cc).
+///
+/// # Storage
+///
+/// A graph owns a handful of pools — factor variable ids, doubles (node
+/// potentials, dense tables and the implicit bases/unaries), sparse
+/// entries and their transposes, gates, ternary overrides — and each
+/// variable or factor is a record of offsets into them. Adding a factor
+/// appends to the pools; nothing is allocated per factor. Clear() empties
+/// the graph and keeps every pool's capacity, so a worker that rebuilds
+/// one graph per table (the annotator's workspace) stops allocating once
+/// the pools reach its largest table. `factor(f)` returns a view of spans
+/// into the pools, valid until the graph next changes.
 class FactorGraph {
  public:
   enum class FactorRep : uint8_t {
@@ -72,9 +86,9 @@ class FactorGraph {
     double value = 0.0;
   };
 
-  /// The implicit part of a kImplicitTernary factor; see class comment
-  /// for semantics. Slot 0 of each unary/gate row corresponds to na and
-  /// is never read.
+  /// The implicit part of a kImplicitTernary factor, as a caller builds
+  /// it; see class comment for semantics. Slot 0 of each unary/gate row
+  /// corresponds to na and is never read.
   struct ImplicitTernarySpec {
     std::vector<double> base_on;    // [B]
     std::vector<double> base_off;   // [B]
@@ -85,57 +99,94 @@ class FactorGraph {
     std::vector<TernaryOverride> overrides;  // Sorted, unique.
   };
 
+  /// An ImplicitTernarySpec as stored: spans into the graph's pools.
+  struct ImplicitTernaryView {
+    std::span<const double> base_on, base_off, unary_x, unary_y;
+    std::span<const uint8_t> gate_x, gate_y;
+    std::span<const TernaryOverride> overrides;
+  };
+
+  /// A view of one factor (spans into the pools; see class comment).
   struct Factor {
-    std::vector<int> vars;     // Variable ids, in table axis order.
+    std::span<const int> vars;  // Variable ids, in table axis order.
     FactorRep rep = FactorRep::kDense;
-    int group = 0;             // Schedule group (ascending order).
+    int group = 0;              // Schedule group (ascending order).
 
     // kDense: row-major log-potential table.
-    std::vector<double> table;
+    std::span<const double> table;
 
     // kSparsePair. `entries_t` is the transposed copy (l0/l1 swapped,
-    // re-sorted), precomputed so both BP directions stream contiguous
-    // row-grouped entries.
+    // sorted by the swapped pair), so both BP directions stream
+    // contiguous row-grouped entries.
     double default_log = 0.0;
-    std::vector<SparseEntry> entries;
-    std::vector<SparseEntry> entries_t;
+    std::span<const SparseEntry> entries;
+    std::span<const SparseEntry> entries_t;
 
     // kImplicitTernary.
-    ImplicitTernarySpec implicit;
+    ImplicitTernaryView implicit;
   };
+
+  /// Empties the graph, keeping every pool's capacity.
+  void Clear();
 
   /// Adds a variable with `domain_size` labels (all-zero node potential).
   /// A domain size of 0 is permitted for degenerate graphs; such
   /// variables admit no assignment and may not participate in factors.
   int AddVariable(int domain_size);
 
-  void SetNodeLogPotential(int var, std::vector<double> log_potential);
+  void SetNodeLogPotential(int var, std::span<const double> log_potential);
+  void SetNodeLogPotential(int var,
+                           std::initializer_list<double> log_potential) {
+    SetNodeLogPotential(var, std::span<const double>(log_potential));
+  }
   void AddToNodeLogPotential(int var, int label, double delta);
 
   /// Adds a dense factor over `vars` with a row-major log table whose
   /// size must be the product of the variables' domain sizes; axis order
   /// == vars order.
-  int AddFactor(std::vector<int> vars, std::vector<double> table,
+  int AddFactor(std::span<const int> vars, std::span<const double> table,
                 int group = 0);
+  int AddFactor(const std::vector<int>& vars,
+                const std::vector<double>& table, int group = 0) {
+    return AddFactor(std::span<const int>(vars),
+                     std::span<const double>(table), group);
+  }
 
   /// Adds a pairwise sparse factor: `default_log` everywhere except
   /// `entries`, which must be sorted by (l0, l1), unique, and in range.
-  int AddSparsePairFactor(std::vector<int> vars, double default_log,
-                          std::vector<SparseEntry> entries, int group = 0);
+  /// The transpose is built here by one counting pass over l1
+  /// (O(nnz + L1), no sort).
+  int AddSparsePairFactor(std::span<const int> vars, double default_log,
+                          std::span<const SparseEntry> entries,
+                          int group = 0);
+  int AddSparsePairFactor(const std::vector<int>& vars, double default_log,
+                          std::span<const SparseEntry> entries,
+                          int group = 0) {
+    return AddSparsePairFactor(std::span<const int>(vars), default_log,
+                               entries, group);
+  }
 
   /// Adds an implicit ternary factor (see class comment). Checks that
   /// spec dimensions match the domains, overrides are sorted / unique /
   /// non-na, and each override dominates the implicit value it replaces.
-  int AddImplicitTernaryFactor(std::vector<int> vars,
-                               ImplicitTernarySpec spec, int group = 0);
+  int AddImplicitTernaryFactor(std::span<const int> vars,
+                               const ImplicitTernarySpec& spec,
+                               int group = 0);
+  int AddImplicitTernaryFactor(const std::vector<int>& vars,
+                               const ImplicitTernarySpec& spec,
+                               int group = 0) {
+    return AddImplicitTernaryFactor(std::span<const int>(vars), spec,
+                                    group);
+  }
 
   int num_variables() const { return static_cast<int>(domains_.size()); }
   int num_factors() const { return static_cast<int>(factors_.size()); }
   int domain_size(int var) const { return domains_[var]; }
-  const std::vector<double>& node_log_potential(int var) const {
-    return node_potentials_[var];
+  std::span<const double> node_log_potential(int var) const {
+    return std::span<const double>(node_values_)
+        .subspan(node_off_[var], domains_[var]);
   }
-  const Factor& factor(int f) const { return factors_[f]; }
+  Factor factor(int f) const;
 
   /// Log-potential of factor `f` at the given labels of its variables
   /// (any representation).
@@ -145,8 +196,8 @@ class FactorGraph {
   /// Variables with empty domains must carry label -1.
   double ScoreAssignment(const std::vector<int>& labels) const;
 
-  /// Approximate heap footprint of the factor tables/entries, for memory
-  /// accounting in benchmarks.
+  /// Bytes the factors' tables, entries, gates and overrides occupy in
+  /// the pools, for memory accounting in benchmarks.
   int64_t FactorMemoryBytes() const;
 
   /// Flat index into a dense factor table for the given labels of its
@@ -156,9 +207,40 @@ class FactorGraph {
                             const std::vector<int>& labels);
 
  private:
+  /// One factor: its representation and offsets into the pools. For
+  /// kImplicitTernary, `values` holds [base_on | base_off | unary_x |
+  /// unary_y], `gates` holds [gate_x | gate_y], and `entries` indexes
+  /// override_pool_.
+  struct FactorRecord {
+    FactorRep rep = FactorRep::kDense;
+    int group = 0;
+    int arity = 0;
+    int64_t vars = 0;
+    int64_t values = 0;
+    int64_t num_values = 0;
+    int64_t entries = 0;
+    int64_t num_entries = 0;
+    int64_t gates = 0;
+    double default_log = 0.0;
+  };
+
+  /// Appends `vars` to the var pool after checking each is a variable
+  /// with a non-empty domain; returns the record to fill.
+  FactorRecord& BeginFactor(std::span<const int> vars, FactorRep rep,
+                            int group);
+
   std::vector<int> domains_;
-  std::vector<std::vector<double>> node_potentials_;
-  std::vector<Factor> factors_;
+  std::vector<int64_t> node_off_;
+  std::vector<double> node_values_;
+  std::vector<FactorRecord> factors_;
+  std::vector<int> var_pool_;
+  std::vector<double> value_pool_;
+  std::vector<SparseEntry> entry_pool_;
+  std::vector<SparseEntry> entry_t_pool_;
+  std::vector<uint8_t> gate_pool_;
+  std::vector<TernaryOverride> override_pool_;
+  /// AddSparsePairFactor's per-l1 cursors into the transpose.
+  std::vector<int64_t> transpose_cursor_;
 };
 
 }  // namespace webtab

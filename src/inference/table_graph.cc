@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <span>
-#include <unordered_map>
 
 #include "common/logging.h"
 #include "obs/trace.h"
@@ -11,61 +10,72 @@ namespace webtab {
 
 namespace {
 
-/// Fills `tab` (types × ents, row-major by type) with φ3
-/// log-potentials. The structured build reads them from the column's
-/// Phi3Column, which hoists the repeated work out of per-pair Phi3Log;
-/// kDense keeps the per-pair Phi3Log as the oracle the equivalence tests
-/// compare against. Both are bit-identical.
-void FillPhi3Table(const std::vector<TypeId>& types,
-                   const std::vector<EntityId>& ents, Phi3Column* column,
-                   FeatureComputer* features, const Weights& w,
-                   FactorRepChoice rep, std::vector<double>* tab) {
-  if (rep == FactorRepChoice::kStructured) {
-    column->FillTable(ents, tab);
-    return;
-  }
+/// Emits the φ3 factor of one cell: (type_c, entity_rc) over `types` ×
+/// `ents`. kDense tabulates per-pair Phi3Log, the oracle the equivalence
+/// tests compare against. The structured build reads the column's shared
+/// rows: the cell's non-zero count is the sum of its rows' counts, and
+/// the factor is sparse (φ3 is 0 whenever a label is na or the pair is
+/// incompatible with no missing-link hint) only when the sparse kernel
+/// is the cheaper one: the dense pairwise sweep costs ~cells ops while
+/// the sparse sweep costs ~2.5·(L0+L1) + 5·nnz (measured constants), so
+/// small or dense factors keep the plain table, filled from the rows.
+/// Large type domains (the paper runs them uncapped, in the hundreds)
+/// are where the sparse form pays off. Sparse entries are bucketed by
+/// type label while the rows are walked entity by entity.
+void EmitPhi3(std::span<const TypeId> types, std::span<const EntityId> ents,
+              int type_var, int entity_var, FeatureComputer* features,
+              const Weights& w, FactorRepChoice rep,
+              TableGraphScratch* scratch, FactorGraph* graph) {
+  const int vars[2] = {type_var, entity_var};
+  const size_t num_types = types.size();
   const size_t n = ents.size();
-  tab->assign(types.size() * n, 0.0);
-  for (size_t lt = 1; lt < types.size(); ++lt) {
-    for (size_t le = 1; le < n; ++le) {
-      (*tab)[lt * n + le] = features->Phi3Log(w, types[lt], ents[le]);
-    }
-  }
-}
-
-/// Emits one φ3 factor from its value table. Structured mode collects
-/// the nonzero type-entity scores into a sparse pairwise factor (φ3 is 0
-/// whenever a label is na or the pair is incompatible with no
-/// missing-link hint), but only when the sparse kernel is the cheaper
-/// one: the dense pairwise sweep costs ~cells ops while the sparse sweep
-/// costs ~2.5·(L0+L1) + 5·nnz (measured constants), so small or dense
-/// factors keep the plain table. Large type domains (the paper runs them
-/// uncapped, in the hundreds) are where the sparse form pays off.
-void EmitPhi3(std::vector<double> tab, size_t num_types, size_t num_ents,
-              int type_var, int entity_var, FactorRepChoice rep,
-              FactorGraph* graph) {
+  std::vector<double>& tab = scratch->table;
   if (rep == FactorRepChoice::kDense) {
-    graph->AddFactor({type_var, entity_var}, std::move(tab), kGroupPhi3);
-    return;
-  }
-  std::vector<FactorGraph::SparseEntry> entries;
-  for (size_t lt = 1; lt < num_types; ++lt) {
-    for (size_t le = 1; le < num_ents; ++le) {
-      const double v = tab[lt * num_ents + le];
-      if (v != 0.0) {
-        entries.push_back({static_cast<int32_t>(lt),
-                           static_cast<int32_t>(le), v});
+    tab.assign(num_types * n, 0.0);
+    for (size_t lt = 1; lt < num_types; ++lt) {
+      for (size_t le = 1; le < n; ++le) {
+        tab[lt * n + le] = features->Phi3Log(w, types[lt], ents[le]);
       }
     }
-  }
-  const size_t cells = num_types * num_ents;
-  const size_t sparse_cost = 5 * (num_types + num_ents) + 10 * entries.size();
-  if (2 * cells <= sparse_cost) {
-    graph->AddFactor({type_var, entity_var}, std::move(tab), kGroupPhi3);
+    graph->AddFactor(vars, tab, kGroupPhi3);
     return;
   }
-  graph->AddSparsePairFactor({type_var, entity_var}, 0.0,
-                             std::move(entries), kGroupPhi3);
+  Phi3Column& column = scratch->phi3;
+  std::vector<int>& slots = scratch->phi3_slots;
+  slots.assign(1, -1);
+  size_t nnz = 0;
+  for (size_t le = 1; le < n; ++le) {
+    const int slot = column.RowSlot(ents[le]);
+    slots.push_back(slot);
+    nnz += column.RowNonZeros(slot).size();
+  }
+  const size_t cells = num_types * n;
+  const size_t sparse_cost = 5 * (num_types + n) + 10 * nnz;
+  if (2 * cells <= sparse_cost) {
+    tab.assign(cells, 0.0);
+    for (size_t le = 1; le < n; ++le) {
+      const double* row = column.RowValues(slots[le]);
+      for (size_t lt = 1; lt < num_types; ++lt) tab[lt * n + le] = row[lt];
+    }
+    graph->AddFactor(vars, tab, kGroupPhi3);
+    return;
+  }
+  std::vector<size_t>& bucket = scratch->phi3_bucket;
+  bucket.assign(num_types + 1, 0);
+  for (size_t le = 1; le < n; ++le) {
+    for (const Phi3Column::NonZero& nz : column.RowNonZeros(slots[le])) {
+      ++bucket[nz.lt + 1];
+    }
+  }
+  for (size_t lt = 1; lt <= num_types; ++lt) bucket[lt] += bucket[lt - 1];
+  scratch->entries.resize(nnz);
+  for (size_t le = 1; le < n; ++le) {
+    const int32_t l1 = static_cast<int32_t>(le);
+    for (const Phi3Column::NonZero& nz : column.RowNonZeros(slots[le])) {
+      scratch->entries[bucket[nz.lt]++] = {nz.lt, l1, nz.value};
+    }
+  }
+  graph->AddSparsePairFactor(vars, 0.0, scratch->entries, kGroupPhi3);
 }
 
 /// Emits one φ5 factor for a row of a column pair. The structured form
@@ -74,11 +84,12 @@ void EmitPhi3(std::vector<double> tab, size_t num_types, size_t num_ents,
 /// the gates) or the tuple actually holds in the catalog (the sparse
 /// overrides). Build cost drops from O(B·E1·E2) feature probes to
 /// O(B·(E1+E2) + matched tuples).
-void EmitPhi5(const std::vector<RelationCandidate>& rels,
-              const std::vector<EntityId>& d1,
-              const std::vector<EntityId>& d2, int rel_var, int v1, int v2,
-              FeatureComputer* features, const Weights& w,
-              FactorRepChoice rep, FactorGraph* graph) {
+void EmitPhi5(std::span<const RelationCandidate> rels,
+              std::span<const EntityId> d1, std::span<const EntityId> d2,
+              int rel_var, int v1, int v2, FeatureComputer* features,
+              const Weights& w, FactorRepChoice rep,
+              TableGraphScratch* scratch, FactorGraph* graph) {
+  const int vars[3] = {rel_var, v1, v2};
   // Class values, matching FeatureComputer::Phi5Log's dot-product
   // arithmetic exactly (feature components are 0/1).
   const double hit_value = w.w5[0] + w.w5[2];
@@ -91,7 +102,8 @@ void EmitPhi5(const std::vector<RelationCandidate>& rels,
                           hit_value >= plain_value &&
                           hit_value >= viol_value;
   if (!structured) {
-    std::vector<double> tab(rels.size() * d1.size() * d2.size(), 0.0);
+    std::vector<double>& tab = scratch->table;
+    tab.assign(rels.size() * d1.size() * d2.size(), 0.0);
     for (size_t lb = 1; lb < rels.size(); ++lb) {
       for (size_t l1 = 1; l1 < d1.size(); ++l1) {
         for (size_t l2 = 1; l2 < d2.size(); ++l2) {
@@ -100,26 +112,39 @@ void EmitPhi5(const std::vector<RelationCandidate>& rels,
         }
       }
     }
-    graph->AddFactor({rel_var, v1, v2}, std::move(tab), kGroupPhi5);
+    graph->AddFactor(vars, tab, kGroupPhi5);
     return;
   }
 
   const CatalogView& catalog = features->catalog();
   const size_t B = rels.size();
-  FactorGraph::ImplicitTernarySpec spec;
+  FactorGraph::ImplicitTernarySpec& spec = scratch->spec;
   spec.base_on.assign(B, 0.0);
   spec.base_off.assign(B, 0.0);
   spec.unary_x.assign(B * d1.size(), 0.0);
   spec.unary_y.assign(B * d2.size(), 0.0);
   spec.gate_x.assign(B * d1.size(), 1);
   spec.gate_y.assign(B * d2.size(), 1);
+  spec.overrides.clear();
 
   // Label index of each candidate entity on the right side, for mapping
-  // catalog tuples to overrides.
-  std::unordered_map<EntityId, int32_t> l2_of;
-  l2_of.reserve(d2.size());
+  // catalog tuples to overrides: a stamped per-entity array.
+  const size_t num_entities = static_cast<size_t>(catalog.num_entities());
+  if (scratch->label_stamp.size() < num_entities) {
+    scratch->label_stamp.resize(num_entities, 0);
+    scratch->label_of.resize(num_entities, 0);
+  }
+  if (++scratch->label_epoch == 0) {
+    std::fill(scratch->label_stamp.begin(), scratch->label_stamp.end(), 0u);
+    scratch->label_epoch = 1;
+  }
+  const uint32_t epoch = scratch->label_epoch;
+  // The first occurrence of an entity keeps its label.
   for (size_t l2 = 1; l2 < d2.size(); ++l2) {
-    l2_of.emplace(d2[l2], static_cast<int32_t>(l2));
+    if (scratch->label_stamp[d2[l2]] != epoch) {
+      scratch->label_stamp[d2[l2]] = epoch;
+      scratch->label_of[d2[l2]] = static_cast<int32_t>(l2);
+    }
   }
 
   for (size_t lb = 1; lb < B; ++lb) {
@@ -148,11 +173,10 @@ void EmitPhi5(const std::vector<RelationCandidate>& rels,
           b.swapped ? catalog.SubjectsOf(b.relation, e1)
                     : catalog.ObjectsOf(b.relation, e1);
       for (EntityId partner : partners) {
-        auto it = l2_of.find(partner);
-        if (it != l2_of.end()) {
+        if (scratch->label_stamp[partner] == epoch) {
           spec.overrides.push_back({static_cast<int32_t>(lb),
-                                    static_cast<int32_t>(l1), it->second,
-                                    hit_value});
+                                    static_cast<int32_t>(l1),
+                                    scratch->label_of[partner], hit_value});
         }
       }
     }
@@ -181,8 +205,7 @@ void EmitPhi5(const std::vector<RelationCandidate>& rels,
                     return a.ls == b.ls && a.lx == b.lx && a.ly == b.ly;
                   }),
       spec.overrides.end());
-  graph->AddImplicitTernaryFactor({rel_var, v1, v2}, std::move(spec),
-                                  kGroupPhi5);
+  graph->AddImplicitTernaryFactor(vars, spec, kGroupPhi5);
 }
 
 /// Emits one φ4 factor for a column pair. §4.2.4's features decompose
@@ -190,14 +213,15 @@ void EmitPhi5(const std::vector<RelationCandidate>& rels,
 /// an AND of per-side subtype gates carrying the schema-match weight —
 /// exactly the implicit ternary form, with no overrides (so any weights
 /// are representable).
-void EmitPhi4(const std::vector<RelationCandidate>& rels,
-              const std::vector<TypeId>& types1,
-              const std::vector<TypeId>& types2, int rel_var, int tv1,
-              int tv2, FeatureComputer* features, const Weights& w,
-              FactorRepChoice rep, FactorGraph* graph) {
+void EmitPhi4(std::span<const RelationCandidate> rels,
+              std::span<const TypeId> types1, std::span<const TypeId> types2,
+              int rel_var, int tv1, int tv2, FeatureComputer* features,
+              const Weights& w, FactorRepChoice rep,
+              TableGraphScratch* scratch, FactorGraph* graph) {
+  const int vars[3] = {rel_var, tv1, tv2};
   if (rep == FactorRepChoice::kDense) {
-    std::vector<double> tab(rels.size() * types1.size() * types2.size(),
-                            0.0);
+    std::vector<double>& tab = scratch->table;
+    tab.assign(rels.size() * types1.size() * types2.size(), 0.0);
     for (size_t lb = 1; lb < rels.size(); ++lb) {
       for (size_t l1 = 1; l1 < types1.size(); ++l1) {
         for (size_t l2 = 1; l2 < types2.size(); ++l2) {
@@ -206,20 +230,21 @@ void EmitPhi4(const std::vector<RelationCandidate>& rels,
         }
       }
     }
-    graph->AddFactor({rel_var, tv1, tv2}, std::move(tab), kGroupPhi4);
+    graph->AddFactor(vars, tab, kGroupPhi4);
     return;
   }
 
   const CatalogView& catalog = features->catalog();
   ClosureCache* closure = features->closure();
   const size_t B = rels.size();
-  FactorGraph::ImplicitTernarySpec spec;
+  FactorGraph::ImplicitTernarySpec& spec = scratch->spec;
   spec.base_on.assign(B, 0.0);
   spec.base_off.assign(B, 0.0);
   spec.unary_x.assign(B * types1.size(), 0.0);
   spec.unary_y.assign(B * types2.size(), 0.0);
   spec.gate_x.assign(B * types1.size(), 0);
   spec.gate_y.assign(B * types2.size(), 0);
+  spec.overrides.clear();
   for (size_t lb = 1; lb < B; ++lb) {
     const RelationCandidate& b = rels[lb];
     const TypeId rel_subject = catalog.RelationSubjectType(b.relation);
@@ -248,42 +273,44 @@ void EmitPhi4(const std::vector<RelationCandidate>& rels,
                                        /*object_role=*/!b.swapped);
     }
   }
-  graph->AddImplicitTernaryFactor({rel_var, tv1, tv2}, std::move(spec),
-                                  kGroupPhi4);
+  graph->AddImplicitTernaryFactor(vars, spec, kGroupPhi4);
 }
 
 }  // namespace
 
-TableGraph BuildTableGraph(const Table& table, const TableLabelSpace& space,
-                           FeatureComputer* features, const Weights& w,
-                           const TableGraphOptions& options) {
-  TableGraph tg;
-  tg.entity_var.assign(table.rows(), std::vector<int>(table.cols(), -1));
+void BuildTableGraph(const Table& table, const TableLabelSpace& space,
+                     FeatureComputer* features, const Weights& w,
+                     const TableGraphOptions& options,
+                     TableGraphScratch* scratch, TableGraph* out) {
+  TableGraph& tg = *out;
+  tg.graph.Clear();
+  tg.entity_var.resize(table.rows());
+  for (std::vector<int>& row : tg.entity_var) row.assign(table.cols(), -1);
   tg.type_var.assign(table.cols(), -1);
+  tg.relation_var.clear();
 
   // --- Variables + node potentials: φ2 per column, φ1 per cell, each
   // header or cell text prepared once for its whole domain. ---
   obs::TraceSpan phi2_span("annotate.phi2");
+  std::vector<double>& pot = scratch->potentials;
   for (int c = 0; c < table.cols(); ++c) {
-    const auto& domain = space.TypeDomain(c);
+    const std::span<const TypeId> domain = space.TypeDomain(c);
     if (domain.size() <= 1) continue;
     int v = tg.graph.AddVariable(static_cast<int>(domain.size()));
     tg.type_var[c] = v;
-    std::vector<double> pot;
     features->Phi2Logs(w, table.header(c), domain, &pot);
-    tg.graph.SetNodeLogPotential(v, std::move(pot));
+    tg.graph.SetNodeLogPotential(v, pot);
   }
   phi2_span.End();
   obs::TraceSpan phi1_span("annotate.phi1");
   for (int r = 0; r < table.rows(); ++r) {
     for (int c = 0; c < table.cols(); ++c) {
-      const auto& domain = space.EntityDomain(r, c);
+      const std::span<const EntityId> domain = space.EntityDomain(r, c);
       if (domain.size() <= 1) continue;
       int v = tg.graph.AddVariable(static_cast<int>(domain.size()));
       tg.entity_var[r][c] = v;
-      std::vector<double> pot;
       features->Phi1Logs(w, table.cell(r, c), domain, &pot);
-      tg.graph.SetNodeLogPotential(v, std::move(pot));
+      tg.graph.SetNodeLogPotential(v, pot);
     }
   }
   phi1_span.End();
@@ -293,37 +320,36 @@ TableGraph BuildTableGraph(const Table& table, const TableLabelSpace& space,
   int64_t phi3_pairs = 0;
   for (int c = 0; c < table.cols(); ++c) {
     if (tg.type_var[c] < 0) continue;
-    const auto& types = space.TypeDomain(c);
-    Phi3Column column(features, w, types);
+    const std::span<const TypeId> types = space.TypeDomain(c);
+    if (options.factor_rep == FactorRepChoice::kStructured) {
+      scratch->phi3.Reset(features, w, types);
+    }
     for (int r = 0; r < table.rows(); ++r) {
       if (tg.entity_var[r][c] < 0) continue;
-      const auto& ents = space.EntityDomain(r, c);
-      std::vector<double> tab;
-      FillPhi3Table(types, ents, &column, features, w, options.factor_rep,
-                    &tab);
+      const std::span<const EntityId> ents = space.EntityDomain(r, c);
       phi3_pairs += static_cast<int64_t>((types.size() - 1) *
                                          (ents.size() - 1));
-      EmitPhi3(std::move(tab), types.size(), ents.size(), tg.type_var[c],
-               tg.entity_var[r][c], options.factor_rep, &tg.graph);
+      EmitPhi3(types, ents, tg.type_var[c], tg.entity_var[r][c], features,
+               w, options.factor_rep, scratch, &tg.graph);
     }
   }
   obs::TraceAddCounter("phi3_pairs", phi3_pairs);
   phi3_span.End();
 
-  if (!options.use_relations) return tg;
+  if (!options.use_relations) return;
 
   // --- Relation variables + φ5 + φ4. ---
   obs::TraceSpan relations_span("annotate.relations");
   for (const std::pair<int, int>& pair : space.column_pairs()) {
-    const auto& domain = space.RelationDomain(pair.first, pair.second);
+    const auto domain = space.RelationDomain(pair.first, pair.second);
     if (domain.size() <= 1) continue;
     int v = tg.graph.AddVariable(static_cast<int>(domain.size()));
-    tg.relation_var[pair] = v;
+    tg.relation_var.emplace_back(pair, v);
   }
 
   for (const auto& [pair, rel_var] : tg.relation_var) {
     auto [c1, c2] = pair;
-    const auto& rels = space.RelationDomain(c1, c2);
+    const auto rels = space.RelationDomain(c1, c2);
 
     // φ5(b, e_{r,c1}, e_{r,c2}) per row.
     for (int r = 0; r < table.rows(); ++r) {
@@ -331,7 +357,8 @@ TableGraph BuildTableGraph(const Table& table, const TableLabelSpace& space,
       int v2 = tg.entity_var[r][c2];
       if (v1 < 0 || v2 < 0) continue;
       EmitPhi5(rels, space.EntityDomain(r, c1), space.EntityDomain(r, c2),
-               rel_var, v1, v2, features, w, options.factor_rep, &tg.graph);
+               rel_var, v1, v2, features, w, options.factor_rep, scratch,
+               &tg.graph);
     }
 
     // φ4(b, t_{c1}, t_{c2}).
@@ -339,9 +366,18 @@ TableGraph BuildTableGraph(const Table& table, const TableLabelSpace& space,
     int tv2 = tg.type_var[c2];
     if (tv1 >= 0 && tv2 >= 0) {
       EmitPhi4(rels, space.TypeDomain(c1), space.TypeDomain(c2), rel_var,
-               tv1, tv2, features, w, options.factor_rep, &tg.graph);
+               tv1, tv2, features, w, options.factor_rep, scratch,
+               &tg.graph);
     }
   }
+}
+
+TableGraph BuildTableGraph(const Table& table, const TableLabelSpace& space,
+                           FeatureComputer* features, const Weights& w,
+                           const TableGraphOptions& options) {
+  TableGraphScratch scratch;
+  TableGraph tg;
+  BuildTableGraph(table, space, features, w, options, &scratch, &tg);
   return tg;
 }
 

@@ -1,7 +1,6 @@
 #ifndef WEBTAB_INFERENCE_TABLE_GRAPH_H_
 #define WEBTAB_INFERENCE_TABLE_GRAPH_H_
 
-#include <map>
 #include <utility>
 #include <vector>
 
@@ -50,8 +49,8 @@ struct TableGraph {
   std::vector<std::vector<int>> entity_var;
   /// type_var[c]: variable id or -1.
   std::vector<int> type_var;
-  /// Relation variable per ordered column pair.
-  std::map<std::pair<int, int>, int> relation_var;
+  /// Relation variable per ordered column pair, ascending by pair.
+  std::vector<std::pair<std::pair<int, int>, int>> relation_var;
 
   /// Decodes a BP/brute-force assignment into a TableAnnotation.
   TableAnnotation DecodeAssignment(const std::vector<int>& assignment,
@@ -63,8 +62,35 @@ struct TableGraph {
                                     const TableLabelSpace& space) const;
 };
 
+/// Scratch for building table graphs: node potentials, the φ3 column
+/// rows, factor tables and entries, the implicit-factor spec and φ5's
+/// label-of-entity array. All of it is reused, so with a reused
+/// TableGraph the graph's storage stops allocating once both have grown
+/// to the worker's largest table (preparing cell and header texts for
+/// φ1/φ2 still may). One per worker; not thread-safe.
+struct TableGraphScratch {
+  std::vector<double> potentials;
+  Phi3Column phi3;
+  std::vector<int> phi3_slots;
+  std::vector<size_t> phi3_bucket;
+  std::vector<double> table;
+  std::vector<FactorGraph::SparseEntry> entries;
+  FactorGraph::ImplicitTernarySpec spec;
+  /// φ5: label index of each right-side candidate entity, valid where
+  /// label_stamp[e] == label_epoch (sized per catalog).
+  std::vector<int32_t> label_of;
+  std::vector<uint32_t> label_stamp;
+  uint32_t label_epoch = 0;
+};
+
 /// Materializes node potentials (φ1, φ2) and factors (φ3, φ4, φ5) from the
-/// feature computer under weights `w`.
+/// feature computer under weights `w` into `out`, rebuilt in place.
+void BuildTableGraph(const Table& table, const TableLabelSpace& space,
+                     FeatureComputer* features, const Weights& w,
+                     const TableGraphOptions& options,
+                     TableGraphScratch* scratch, TableGraph* out);
+
+/// Convenience form with fresh scratch.
 TableGraph BuildTableGraph(const Table& table, const TableLabelSpace& space,
                            FeatureComputer* features, const Weights& w,
                            const TableGraphOptions& options =

@@ -260,7 +260,7 @@ double FeatureComputer::Phi2Log(const Weights& w,
 }
 
 void FeatureComputer::Phi1Logs(const Weights& w, std::string_view cell_text,
-                               const std::vector<EntityId>& ents,
+                               std::span<const EntityId> ents,
                                std::vector<double>* out) const {
   out->assign(ents.size(), 0.0);
   similarity_.MaybeCompact();
@@ -273,7 +273,7 @@ void FeatureComputer::Phi1Logs(const Weights& w, std::string_view cell_text,
 
 void FeatureComputer::Phi2Logs(const Weights& w,
                                std::string_view header_text,
-                               const std::vector<TypeId>& types,
+                               std::span<const TypeId> types,
                                std::vector<double>* out) const {
   out->assign(types.size(), 0.0);
   similarity_.MaybeCompact();
@@ -301,45 +301,72 @@ double FeatureComputer::Phi5Log(const Weights& w, const RelationCandidate& b,
   return Dot(w.w5, F5(b, e1, e2));
 }
 
-Phi3Column::Phi3Column(FeatureComputer* features, const Weights& w,
-                       const std::vector<TypeId>& types)
-    : features_(features),
-      w_(w),
-      types_(types),
-      terms_(types.size()),
-      dist_(types.size()),
-      min_overlap_(types.size()) {
+void Phi3Column::Reset(FeatureComputer* features, const Weights& w,
+                       std::span<const TypeId> types) {
+  features_ = features;
+  w_ = &w;
+  types_ = types;
+  if (++epoch_ == 0) {
+    std::fill(type_stamp_.begin(), type_stamp_.end(), 0u);
+    std::fill(overlap_stamp_.begin(), overlap_stamp_.end(), 0u);
+    std::fill(set_stamp_.begin(), set_stamp_.end(), 0u);
+    epoch_ = 1;
+  }
+  const size_t num_types =
+      static_cast<size_t>(features->catalog().num_types());
+  if (type_stamp_.size() < num_types) {
+    type_stamp_.resize(num_types, 0);
+    index_of_type_.resize(num_types, 0);
+    overlap_stamp_.resize(num_types, 0);
+    overlap_row_of_.resize(num_types, 0);
+  }
+  overlap_rows_.clear();
+  rows_.clear();
+  row_values_.clear();
+  row_nonzeros_.clear();
+  terms_.resize(types.size());
+  dist_.resize(types.size());
+  min_overlap_.assign(types.size(), 0.0);
   for (size_t lt = 1; lt < types.size(); ++lt) {
     terms_[lt] = features->F3Terms(types[lt]);
-    index_of_type_.emplace(types[lt], static_cast<int>(lt));
+    // The first occurrence of a type keeps its index.
+    if (type_stamp_[types[lt]] != epoch_) {
+      type_stamp_[types[lt]] = epoch_;
+      index_of_type_[types[lt]] = static_cast<int32_t>(lt);
+    }
   }
 }
 
-const double* Phi3Column::OverlapRow(TypeId t_prime) {
-  auto [it, inserted] =
-      overlap_row_of_.try_emplace(t_prime, overlap_rows_.size());
-  if (inserted) {
+int64_t Phi3Column::OverlapRow(TypeId t_prime) {
+  if (overlap_stamp_[t_prime] != epoch_) {
+    overlap_stamp_[t_prime] = epoch_;
+    overlap_row_of_[t_prime] = static_cast<int64_t>(overlap_rows_.size());
     ClosureCache* closure = features_->closure();
     overlap_rows_.push_back(0.0);  // na column.
     for (size_t lt = 1; lt < types_.size(); ++lt) {
       overlap_rows_.push_back(closure->TypeOverlapRatio(t_prime, types_[lt]));
     }
   }
-  return overlap_rows_.data() + it->second;
+  return overlap_row_of_[t_prime];
 }
 
-const double* Phi3Column::Row(EntityId e) {
+int Phi3Column::RowSlot(EntityId e) {
   ClosureCache* closure = features_->closure();
-  auto [it, inserted] =
-      row_of_set_.try_emplace(closure->DirectTypeSetId(e), rows_.size());
-  if (!inserted) return rows_.data() + it->second;
+  const int32_t set = closure->DirectTypeSetId(e);
+  if (static_cast<size_t>(set) >= set_stamp_.size()) {
+    set_stamp_.resize(static_cast<size_t>(set) + 1, 0);
+    slot_of_set_.resize(static_cast<size_t>(set) + 1, 0);
+  }
+  if (set_stamp_[set] == epoch_) return slot_of_set_[set];
+  set_stamp_[set] = epoch_;
+  const int slot = static_cast<int>(rows_.size());
+  slot_of_set_[set] = slot;
 
   // dist(e, T) for every column type, from e's few ancestors rather
   // than one distance-map probe per type.
   std::fill(dist_.begin(), dist_.end(), kUnreachable);
   for (const auto& [t, d] : closure->AncestorDistances(e)) {
-    auto found = index_of_type_.find(t);
-    if (found != index_of_type_.end()) dist_[found->second] = d;
+    if (type_stamp_[t] == epoch_) dist_[index_of_type_[t]] = d;
   }
   if (features_->options().use_missing_link) {
     // MinDirectTypeOverlap for every column type, over rows shared by
@@ -349,30 +376,28 @@ const double* Phi3Column::Row(EntityId e) {
     std::fill(min_overlap_.begin(), min_overlap_.end(),
               direct.empty() ? 0.0 : 1.0);
     for (TypeId t_prime : direct) {
-      const double* row = OverlapRow(t_prime);
+      const int64_t offset = OverlapRow(t_prime);
+      const double* row = overlap_rows_.data() + offset;
       for (size_t lt = 1; lt < types_.size(); ++lt) {
         min_overlap_[lt] = std::min(min_overlap_[lt], row[lt]);
       }
     }
   }
-  rows_.push_back(0.0);  // na row.
+  RowInfo& info = rows_.emplace_back();
+  info.values = static_cast<int64_t>(row_values_.size());
+  info.nonzeros = static_cast<int64_t>(row_nonzeros_.size());
+  row_values_.push_back(0.0);  // na row.
   for (size_t lt = 1; lt < types_.size(); ++lt) {
-    rows_.push_back(
-        Dot(w_.w3, features_->F3(terms_[lt], dist_[lt], min_overlap_[lt])));
-  }
-  return rows_.data() + it->second;
-}
-
-void Phi3Column::FillTable(const std::vector<EntityId>& ents,
-                           std::vector<double>* tab) {
-  const size_t n = ents.size();
-  tab->assign(types_.size() * n, 0.0);
-  for (size_t le = 1; le < n; ++le) {
-    const double* row = Row(ents[le]);
-    for (size_t lt = 1; lt < types_.size(); ++lt) {
-      (*tab)[lt * n + le] = row[lt];
+    const double v =
+        Dot(w_->w3, features_->F3(terms_[lt], dist_[lt], min_overlap_[lt]));
+    row_values_.push_back(v);
+    if (v != 0.0) {
+      row_nonzeros_.push_back(NonZero{static_cast<int32_t>(lt), v});
     }
   }
+  info.num_nonzeros =
+      static_cast<int32_t>(row_nonzeros_.size() - info.nonzeros);
+  return slot;
 }
 
 }  // namespace webtab

@@ -2,6 +2,7 @@
 #define WEBTAB_MODEL_FEATURES_H_
 
 #include <array>
+#include <span>
 #include <string_view>
 #include <unordered_map>
 #include <vector>
@@ -76,13 +77,13 @@ class FeatureComputer {
   /// whole domain instead of once per entity. `out` is resized to
   /// ents.size(). Bit-identical to the per-entity calls.
   void Phi1Logs(const Weights& w, std::string_view cell_text,
-                const std::vector<EntityId>& ents,
+                std::span<const EntityId> ents,
                 std::vector<double>* out) const;
 
   /// Phi2Log(w, header_text, types[l]) for every label of a column's
   /// type domain, likewise.
   void Phi2Logs(const Weights& w, std::string_view header_text,
-                const std::vector<TypeId>& types,
+                std::span<const TypeId> types,
                 std::vector<double>* out) const;
   double Phi3Log(const Weights& w, TypeId t, EntityId e);
   double Phi4Log(const Weights& w, const RelationCandidate& b, TypeId t1,
@@ -157,43 +158,80 @@ class FeatureComputer {
 /// entity's row over the column's types once per (column, direct-type
 /// set). An entity's row depends on it only through its direct-type set
 /// (ClosureCache::DirectTypeSetId), so every later candidate with the
-/// same set copies the row. Values equal Phi3Log bit for bit (both go
-/// through FeatureComputer's one f3 definition and the same dot
-/// product). Lives for one column of one table build.
+/// same set shares the row. Each row also keeps its non-zero (lt, value)
+/// list, from which the φ3 emitter builds sparse factors without
+/// scanning a table. Values equal Phi3Log bit for bit (both go through
+/// FeatureComputer's one f3 definition and the same dot product).
+///
+/// One instance is reused column after column (Reset); its lookups are
+/// dense per-id arrays validated by a per-column stamp, owned by the
+/// instance, so two live columns never share state.
 class Phi3Column {
  public:
-  /// `features`, `w` and `types` (a type domain, [0] == na) must
-  /// outlive the column.
-  Phi3Column(FeatureComputer* features, const Weights& w,
-             const std::vector<TypeId>& types);
+  /// One non-zero entry of a row: types[lt] scores `value`.
+  struct NonZero {
+    int32_t lt = 0;
+    double value = 0.0;
+  };
 
-  /// Resizes `tab` to types × ents (row-major by type) and fills it with
-  /// Phi3Log(w, types[lt], ents[le]); the na row and column are 0.
-  void FillTable(const std::vector<EntityId>& ents, std::vector<double>* tab);
+  Phi3Column() = default;
+  Phi3Column(FeatureComputer* features, const Weights& w,
+             std::span<const TypeId> types) {
+    Reset(features, w, types);
+  }
+
+  /// Starts a column. `features`, `w` and `types` (a type domain,
+  /// [0] == na) must outlive the column's use, until the next Reset.
+  void Reset(FeatureComputer* features, const Weights& w,
+             std::span<const TypeId> types);
+
+  /// Row slot of e's direct-type set, computing the row on first sight.
+  int RowSlot(EntityId e);
+
+  /// Phi3Log(w, types[lt], e) for every lt ([0] = 0) of the entity `slot`
+  /// came from. Valid until the next RowSlot or Reset.
+  const double* RowValues(int slot) const {
+    return row_values_.data() + rows_[slot].values;
+  }
+
+  /// The lt >= 1 whose row value is != 0.0, ascending, with the value.
+  std::span<const NonZero> RowNonZeros(int slot) const {
+    return std::span<const NonZero>(row_nonzeros_)
+        .subspan(rows_[slot].nonzeros, rows_[slot].num_nonzeros);
+  }
 
   /// Rows computed so far: distinct direct-type sets among the
-  /// candidates filled.
-  size_t num_rows() const { return row_of_set_.size(); }
+  /// candidates seen since Reset.
+  size_t num_rows() const { return rows_.size(); }
 
  private:
-  /// TypeOverlapRatio(t_prime, types[lt]) for every lt, memoized per
-  /// column. Valid until the next call.
-  const double* OverlapRow(TypeId t_prime);
+  /// Offset of TypeOverlapRatio(t_prime, types[lt]) for every lt in
+  /// overlap_rows_, memoized per column.
+  int64_t OverlapRow(TypeId t_prime);
 
-  /// Phi3Log(w, types[lt], e) for every lt ([0] = 0), computed on the
-  /// first candidate with e's direct-type set. Valid until the next call.
-  const double* Row(EntityId e);
+  struct RowInfo {
+    int64_t values = 0;     // Offset in row_values_.
+    int64_t nonzeros = 0;   // Offset in row_nonzeros_.
+    int32_t num_nonzeros = 0;
+  };
 
-  FeatureComputer* features_;
-  const Weights& w_;
-  const std::vector<TypeId>& types_;
+  FeatureComputer* features_ = nullptr;
+  const Weights* w_ = nullptr;
+  std::span<const TypeId> types_;
   std::vector<FeatureComputer::F3TypeTerms> terms_;
-  std::unordered_map<TypeId, int> index_of_type_;
-  std::unordered_map<TypeId, size_t> overlap_row_of_;
+  /// Stamp of the current column; an entry of a per-id array below is
+  /// valid only when its stamp equals it.
+  uint32_t epoch_ = 0;
+  std::vector<uint32_t> type_stamp_;  // Per TypeId.
+  std::vector<int32_t> index_of_type_;
+  std::vector<uint32_t> overlap_stamp_;  // Per TypeId (t_prime).
+  std::vector<int64_t> overlap_row_of_;
   std::vector<double> overlap_rows_;
-  /// DirectTypeSetId -> offset of its row in rows_.
-  std::unordered_map<int32_t, size_t> row_of_set_;
-  std::vector<double> rows_;
+  std::vector<uint32_t> set_stamp_;  // Per DirectTypeSetId.
+  std::vector<int32_t> slot_of_set_;
+  std::vector<RowInfo> rows_;
+  std::vector<double> row_values_;
+  std::vector<NonZero> row_nonzeros_;
   // Per-row scratch over the column's types.
   std::vector<int> dist_;
   std::vector<double> min_overlap_;

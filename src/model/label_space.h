@@ -1,7 +1,7 @@
 #ifndef WEBTAB_MODEL_LABEL_SPACE_H_
 #define WEBTAB_MODEL_LABEL_SPACE_H_
 
-#include <map>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -15,6 +15,11 @@ namespace webtab {
 /// entry (index 0) is the na label; the rest come from candidate
 /// generation. During training the gold labels are injected so the
 /// learner can always reach the ground truth.
+///
+/// Domains are stored CSR style — one id array per label kind plus
+/// start offsets per cell, column and column pair — and Rebuild reuses
+/// that storage, so a worker that keeps one space across tables stops
+/// allocating once it has seen its largest table.
 class TableLabelSpace {
  public:
   /// Builds domains from candidates. If `gold` is non-null its labels are
@@ -23,17 +28,25 @@ class TableLabelSpace {
                                const TableCandidates& candidates,
                                const TableAnnotation* gold = nullptr);
 
+  /// Build in place, keeping this space's capacity.
+  void Rebuild(const Table& table, const TableCandidates& candidates,
+               const TableAnnotation* gold = nullptr);
+
   int rows() const { return rows_; }
   int cols() const { return cols_; }
 
   /// Entity domain of cell (r,c); [0] == kNa.
-  const std::vector<EntityId>& EntityDomain(int r, int c) const {
-    return entity_domains_[static_cast<size_t>(r) * cols_ + c];
+  std::span<const EntityId> EntityDomain(int r, int c) const {
+    const size_t cell = static_cast<size_t>(r) * cols_ + c;
+    return std::span<const EntityId>(entity_ids_)
+        .subspan(entity_start_[cell],
+                 entity_start_[cell + 1] - entity_start_[cell]);
   }
 
   /// Type domain of column c; [0] == kNa.
-  const std::vector<TypeId>& TypeDomain(int c) const {
-    return type_domains_[c];
+  std::span<const TypeId> TypeDomain(int c) const {
+    return std::span<const TypeId>(type_ids_).subspan(
+        type_start_[c], type_start_[c + 1] - type_start_[c]);
   }
 
   /// Ordered column pairs that carry a relation variable (non-trivial
@@ -43,12 +56,12 @@ class TableLabelSpace {
   }
 
   /// Relation domain of pair (c1,c2); [0] == na. Empty for absent pairs.
-  const std::vector<RelationCandidate>& RelationDomain(int c1, int c2) const;
+  std::span<const RelationCandidate> RelationDomain(int c1, int c2) const;
 
   /// Index of a label within a domain; -1 when absent.
-  static int IndexOfEntity(const std::vector<EntityId>& domain, EntityId e);
-  static int IndexOfType(const std::vector<TypeId>& domain, TypeId t);
-  static int IndexOfRelation(const std::vector<RelationCandidate>& domain,
+  static int IndexOfEntity(std::span<const EntityId> domain, EntityId e);
+  static int IndexOfType(std::span<const TypeId> domain, TypeId t);
+  static int IndexOfRelation(std::span<const RelationCandidate> domain,
                              const RelationCandidate& b);
 
   /// Summary statistics used by bench/candidate_stats.
@@ -58,11 +71,17 @@ class TableLabelSpace {
  private:
   int rows_ = 0;
   int cols_ = 0;
-  std::vector<std::vector<EntityId>> entity_domains_;  // row-major.
-  std::vector<std::vector<TypeId>> type_domains_;
+  /// Cell (r, c)'s domain is entity_ids_[entity_start_[r * cols + c] ..
+  /// entity_start_[r * cols + c + 1]); likewise per column and per pair.
+  std::vector<size_t> entity_start_;
+  std::vector<EntityId> entity_ids_;
+  std::vector<size_t> type_start_;
+  std::vector<TypeId> type_ids_;
   std::vector<std::pair<int, int>> pairs_;
-  std::map<std::pair<int, int>, std::vector<RelationCandidate>>
-      relation_domains_;
+  std::vector<size_t> relation_start_;
+  std::vector<RelationCandidate> relation_ids_;
+  /// Rebuild scratch: candidate and gold column pairs, merged.
+  std::vector<std::pair<int, int>> pair_scratch_;
 };
 
 }  // namespace webtab

@@ -94,11 +94,6 @@ inline std::pair<uint64_t, uint64_t> RowRange(
   return {i == 0 ? 0 : ends[i - 1], ends[i]};
 }
 
-uint64_t PairKey(EntityId e1, EntityId e2) {
-  return (static_cast<uint64_t>(static_cast<uint32_t>(e1)) << 32) |
-         static_cast<uint32_t>(e2);
-}
-
 /// Binary-searches a sorted-by-name id array; returns kNa when absent.
 template <typename NameFn>
 int32_t FindByName(std::span<const int32_t> ids, std::string_view name,
@@ -227,6 +222,10 @@ Status SnapshotCatalogView::Init(const uint8_t* base, uint64_t size) {
   }
   WEBTAB_RETURN_IF_ERROR(CheckMonotonic(pair_rel_ends_, pair_rels_.size(),
                                         "pair rel ends"));
+  // Subject runs index by the key's entity halves, so the keys are
+  // checked before any offset is built: O(n) on every open.
+  WEBTAB_RETURN_IF_ERROR(BuildPairSubjectStart(
+      pair_keys_, header_.num_entities, &pair_subject_start_));
 
   WEBTAB_RETURN_IF_ERROR(GetArray(s, header_.types_by_name,
                                   &types_by_name_));
@@ -340,7 +339,6 @@ Status SnapshotCatalogView::DeepValidate() const {
     WEBTAB_RETURN_IF_ERROR(
         CheckSorted(rev_keys_.subspan(rb, re - rb), "rev keys"));
   }
-  WEBTAB_RETURN_IF_ERROR(CheckSorted(pair_keys_, "pair keys"));
 
   // Type graph: closure traversals assume a DAG with mirrored
   // parent/child edges. Kahn's algorithm over parent edges: if peeling
@@ -525,37 +523,6 @@ std::span<const EntityId> SnapshotCatalogView::SubjectsOf(
   uint64_t k = kbegin + static_cast<uint64_t>(it - keys.begin());
   auto [vbegin, vend] = RowRange(rev_value_ends_, k);
   return rev_values_.subspan(vbegin, vend - vbegin);
-}
-
-std::vector<std::pair<RelationId, bool>>
-SnapshotCatalogView::RelationsBetween(EntityId e1, EntityId e2) const {
-  std::vector<std::pair<RelationId, bool>> out;
-  auto probe = [&](uint64_t key, bool swapped) {
-    auto it = std::lower_bound(pair_keys_.begin(), pair_keys_.end(), key);
-    if (it == pair_keys_.end() || *it != key) return;
-    uint64_t i = static_cast<uint64_t>(it - pair_keys_.begin());
-    auto [begin, end] = RowRange(pair_rel_ends_, i);
-    for (uint64_t j = begin; j < end; ++j) {
-      out.emplace_back(pair_rels_[j], swapped);
-    }
-  };
-  probe(PairKey(e1, e2), false);
-  probe(PairKey(e2, e1), true);
-  return out;
-}
-
-void SnapshotCatalogView::ForEachRelationBetween(
-    EntityId e1, EntityId e2,
-    const std::function<void(RelationId, bool)>& fn) const {
-  auto probe = [&](uint64_t key, bool swapped) {
-    auto it = std::lower_bound(pair_keys_.begin(), pair_keys_.end(), key);
-    if (it == pair_keys_.end() || *it != key) return;
-    uint64_t i = static_cast<uint64_t>(it - pair_keys_.begin());
-    auto [begin, end] = RowRange(pair_rel_ends_, i);
-    for (uint64_t j = begin; j < end; ++j) fn(pair_rels_[j], swapped);
-  };
-  probe(PairKey(e1, e2), false);
-  probe(PairKey(e2, e1), true);
 }
 
 // --- SnapshotLemmaIndexView -----------------------------------------------

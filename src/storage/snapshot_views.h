@@ -92,11 +92,10 @@ class SnapshotCatalogView : public CatalogView {
                                       EntityId e1) const override;
   std::span<const EntityId> SubjectsOf(RelationId b,
                                        EntityId e2) const override;
-  std::vector<std::pair<RelationId, bool>> RelationsBetween(
-      EntityId e1, EntityId e2) const override;
-  void ForEachRelationBetween(
-      EntityId e1, EntityId e2,
-      const std::function<void(RelationId, bool)>& fn) const override;
+  PairIndex pair_index() const override {
+    return PairIndex{pair_keys_, pair_rel_ends_, pair_rels_,
+                     pair_subject_start_};
+  }
 
  private:
   CatalogHeader header_;
@@ -116,6 +115,9 @@ class SnapshotCatalogView : public CatalogView {
   std::span<const EntityId> rev_keys_, rev_values_;
   std::span<const uint64_t> pair_keys_, pair_rel_ends_;
   std::span<const RelationId> pair_rels_;
+  /// Built by Init from pair_keys_ once they are proven sorted and in
+  /// range (the only catalog array not mapped from the file).
+  std::vector<uint64_t> pair_subject_start_;
   std::span<const TypeId> types_by_name_;
   std::span<const EntityId> entities_by_name_;
   std::span<const RelationId> relations_by_name_;

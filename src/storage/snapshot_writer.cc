@@ -157,7 +157,6 @@ std::vector<uint8_t> BuildCatalogSection(const CatalogView& cat) {
   std::vector<EntityId> fwd_keys, fwd_values;
   std::vector<uint64_t> rev_key_ends, rev_value_ends;
   std::vector<EntityId> rev_keys, rev_values;
-  std::vector<std::pair<uint64_t, RelationId>> pair_entries;
   for (RelationId b = 0; b < h.num_relations; ++b) {
     relation_names.Add(cat.RelationName(b));
     RelationMetaDisk meta;
@@ -202,13 +201,6 @@ std::vector<uint8_t> BuildCatalogSection(const CatalogView& cat) {
       rev_value_ends.push_back(rev_values.size());
     }
     rev_key_ends.push_back(rev_keys.size());
-
-    for (const EntityPair& tp : ts) {
-      uint64_t key =
-          (static_cast<uint64_t>(static_cast<uint32_t>(tp.first)) << 32) |
-          static_cast<uint32_t>(tp.second);
-      pair_entries.emplace_back(key, b);
-    }
   }
   h.relation_names = sb.AddArena(relation_names.ends, relation_names.chars);
   h.relation_meta = sb.Add(metas);
@@ -222,26 +214,11 @@ std::vector<uint8_t> BuildCatalogSection(const CatalogView& cat) {
   h.rev_value_ends = sb.Add(rev_value_ends);
   h.rev_values = sb.Add(rev_values);
 
-  // Pair index. Stable sort keeps relations in ascending id order within
-  // one key, matching the in-memory build (tuples_by_pair_ push order).
-  std::stable_sort(pair_entries.begin(), pair_entries.end(),
-                   [](const auto& a, const auto& b) {
-                     return a.first < b.first;
-                   });
-  std::vector<uint64_t> pair_keys, pair_rel_ends;
-  std::vector<RelationId> pair_rels;
-  for (size_t i = 0; i < pair_entries.size();) {
-    uint64_t key = pair_entries[i].first;
-    pair_keys.push_back(key);
-    while (i < pair_entries.size() && pair_entries[i].first == key) {
-      pair_rels.push_back(pair_entries[i].second);
-      ++i;
-    }
-    pair_rel_ends.push_back(pair_rels.size());
-  }
-  h.pair_keys = sb.Add(pair_keys);
-  h.pair_rel_ends = sb.Add(pair_rel_ends);
-  h.pair_rels = sb.Add(pair_rels);
+  // Pair index: both backends hold it sorted, so it is copied as is.
+  const PairIndex pairs = cat.pair_index();
+  h.pair_keys = sb.Add(pairs.keys);
+  h.pair_rel_ends = sb.Add(pairs.rel_ends);
+  h.pair_rels = sb.Add(pairs.rels);
 
   h.types_by_name = sb.Add(SortIdsByName(
       h.num_types, [&](int32_t t) { return cat.TypeName(t); }));

@@ -13,6 +13,7 @@
 #include <bit>
 #include <cctype>
 #include <cstdio>
+#include <memory>
 #include <set>
 #include <string>
 #include <vector>
@@ -267,6 +268,194 @@ TEST(CandidateEquivalenceRepeatTest, LemmaRepeatingAWideTokenKeepsCandidate) {
   EXPECT_EQ(reference.cells[0][0][0].id, repeated);
   ExpectSameCandidates(reference, GenerateCandidates(table, index, &closure,
                                                      options));
+}
+
+/// A crafted catalog plus its snapshot twin, for tests that check the
+/// batched pipeline against the reference on both backends.
+struct CraftedBackends {
+  explicit CraftedBackends(Catalog built, const std::string& name)
+      : catalog(std::move(built)),
+        index(&catalog),
+        path(::testing::TempDir() + "/" + name) {
+    SnapshotBuilder builder;
+    builder.SetCatalog(&catalog).SetLemmaIndex(&index);
+    WEBTAB_CHECK_OK(builder.WriteToFile(path));
+    Result<Snapshot> opened = Snapshot::Open(path);
+    WEBTAB_CHECK(opened.ok()) << opened.status().ToString();
+    snap = std::make_unique<Snapshot>(std::move(opened.value()));
+  }
+  ~CraftedBackends() { std::remove(path.c_str()); }
+
+  /// GenerateCandidates against the reference on both backends under
+  /// `options`; returns the in-memory reference.
+  TableCandidates ExpectMatches(const Table& table,
+                                const CandidateOptions& options) {
+    ClosureCache mem_closure(&catalog);
+    ClosureCache snap_closure(snap->catalog());
+    TableCandidates reference =
+        ReferenceGenerateCandidates(table, index, &mem_closure, options);
+    ExpectSameCandidates(
+        reference, GenerateCandidates(table, index, &mem_closure, options));
+    ExpectSameCandidates(
+        reference, ReferenceGenerateCandidates(table, *snap->lemma_index(),
+                                               &snap_closure, options));
+    ExpectSameCandidates(
+        reference, GenerateCandidates(table, *snap->lemma_index(),
+                                      &snap_closure, options));
+    return reference;
+  }
+
+  Catalog catalog;
+  LemmaIndex index;
+  std::string path;
+  std::unique_ptr<Snapshot> snap;
+};
+
+/// Letters-only suffix for unique names (the tokenizer splits digits).
+std::string Letters(int i) {
+  return std::string{static_cast<char>('a' + i / 26),
+                     static_cast<char>('a' + i % 26)};
+}
+
+// Relation votes intersect each hit's subject run in the catalog's pair
+// index with the other cell's hit ids. This world pins the cases the
+// runs must get right: a hub subject with a long run (galloped across
+// several doublings, in both the forward and the swapped pass), the same
+// entity in both columns with a self-tuple (one key voting forward and
+// swapped), several relations on one key, and cells with several
+// candidates each.
+TEST(CandidateEquivalencePairRunTest, RelationVotesMatchReference) {
+  CatalogBuilder builder;
+  const TypeId person = builder.AddType("person");
+  const TypeId company = builder.AddType("company");
+  const RelationId employs = builder.AddRelation("employs", company, person);
+  const RelationId likes = builder.AddRelation("likes", person, person);
+  const RelationId follows = builder.AddRelation("follows", person, person);
+  const RelationId knows = builder.AddRelation("knows", person, person);
+  auto add = [&](const std::string& name, TypeId type) {
+    const EntityId e = builder.AddEntity(name);
+    WEBTAB_CHECK_OK(builder.AddEntityLemma(e, name));
+    WEBTAB_CHECK_OK(builder.AddEntityType(e, type));
+    return e;
+  };
+  const uint64_t kHubTuples = 41;
+  const EntityId hub = add("Hub Corp", company);
+  std::vector<EntityId> staff;
+  for (uint64_t i = 0; i < kHubTuples; ++i) {
+    staff.push_back(add("Staff " + Letters(static_cast<int>(i)), person));
+    WEBTAB_CHECK_OK(builder.AddTuple(employs, hub, staff.back()));
+  }
+  // Two near-namesakes per cell text, so each cell holds several hits.
+  const EntityId alice = add("Alice Moss", person);
+  const EntityId alice2 = add("Alice Moss Jr", person);
+  const EntityId bob = add("Bob Reed", person);
+  const EntityId bob2 = add("Bob Reed Jr", person);
+  const EntityId xavier = add("Xavier Self", person);
+  for (RelationId rel : {likes, follows, knows}) {
+    WEBTAB_CHECK_OK(builder.AddTuple(rel, alice, bob));
+  }
+  WEBTAB_CHECK_OK(builder.AddTuple(likes, bob2, alice2));
+  WEBTAB_CHECK_OK(builder.AddTuple(knows, xavier, xavier));
+  WEBTAB_CHECK_OK(builder.AddTuple(follows, xavier, staff[3]));
+  Result<Catalog> built = builder.Build();
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  CraftedBackends backends(std::move(built.value()), "pair_runs.snap");
+  ASSERT_EQ(backends.catalog.pair_index().subject_start[hub + 1] -
+                backends.catalog.pair_index().subject_start[hub],
+            kHubTuples);
+
+  Table table(7, 2);
+  const char* rows[7][2] = {
+      {"Hub Corp", "Staff ad"},       {"Staff af", "Hub Corp"},
+      {"Xavier Self", "Xavier Self"}, {"Alice Moss", "Bob Reed"},
+      {"Bob Reed", "Alice Moss"},     {"Hub Corp", "Staff ad"},
+      {"Xavier Self", "Staff ad"}};
+  for (int r = 0; r < 7; ++r) {
+    table.set_cell(r, 0, rows[r][0]);
+    table.set_cell(r, 1, rows[r][1]);
+  }
+  for (int max_relations : {16, 2}) {
+    CandidateOptions options;
+    options.max_relations_per_pair = max_relations;
+    TableCandidates reference = backends.ExpectMatches(table, options);
+    // Non-vacuity: forward and swapped votes of the hub, of the shared
+    // key and of the self-tuple all reach the ranking.
+    ASSERT_EQ(reference.cells[2][0].front().id, xavier);
+    ASSERT_GE(reference.cells[3][0].size(), 2u);
+    if (max_relations < 16) continue;
+    const std::vector<RelationCandidate>& got =
+        reference.relations[std::make_pair(0, 1)];
+    auto has = [&](RelationId rel, bool swapped) {
+      return std::find(got.begin(), got.end(),
+                       RelationCandidate{rel, swapped}) != got.end();
+    };
+    EXPECT_TRUE(has(employs, false));
+    EXPECT_TRUE(has(employs, true));
+    EXPECT_TRUE(has(knows, false));
+    EXPECT_TRUE(has(knows, true));
+    EXPECT_TRUE(has(likes, false));
+    EXPECT_TRUE(has(likes, true));
+    EXPECT_TRUE(has(follows, false));
+    EXPECT_TRUE(has(follows, true));
+  }
+}
+
+// The probe keeps an exact bounded top-k. Cell "aa bb" touches every
+// lemma below; "aa" and "bb" have the same document frequency, so every
+// two-token lemma with one of them scores the same 0.5 and the
+// four-token one 0.35. Lemmas are reduced in first-touch order — those
+// with "aa" by (id, ord), then those with only "bb" — so:
+//   - X (id 0) enters with its 0.35 lemma, is evicted by the 0.5 "aa"
+//     lemmas, and re-enters through its later 0.5 "bb" lemma, tying the
+//     k-th score with a lower id;
+//   - Y (id 1) reaches 0.5 first through lemma 1, then again through
+//     lemma 0, which must replace it (ties go to the lowest ordinal);
+//   - the B objects (low ids, "bb" only) tie a full top of A objects
+//     (high ids, "aa") and must displace them.
+TEST(CandidateEquivalenceTopKTest, BoundaryTiesAndEvictionsMatchReference) {
+  CatalogBuilder builder;
+  const TypeId thing = builder.AddType("thing");
+  auto add = [&](const std::string& name,
+                 const std::vector<std::string>& lemmas) {
+    const EntityId e = builder.AddEntity(name);
+    for (const std::string& lemma : lemmas) {
+      WEBTAB_CHECK_OK(builder.AddEntityLemma(e, lemma));
+    }
+    WEBTAB_CHECK_OK(builder.AddEntityType(e, thing));
+    return e;
+  };
+  const EntityId x = add("X", {"aa pp qq rr", "bb ww"});
+  const EntityId y = add("Y", {"bb mm", "aa nn"});
+  for (int i = 0; i < 8; ++i) add("B" + Letters(i), {"bb b" + Letters(i)});
+  for (int i = 0; i < 8; ++i) add("A" + Letters(i), {"aa a" + Letters(i)});
+  Result<Catalog> built = builder.Build();
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  CraftedBackends backends(std::move(built.value()), "top_k.snap");
+
+  Table table(4, 1);
+  table.set_cell(0, 0, "aa bb");
+  table.set_cell(1, 0, "bb aa");
+  table.set_cell(2, 0, "aa");
+  table.set_cell(3, 0, "aa bb pp");
+  for (double min_score : {0.15, 0.0}) {
+    for (int k : {1, 2, 3, 8, 17, 18, 100}) {
+      SCOPED_TRACE("min_score " + std::to_string(min_score) + " k " +
+                   std::to_string(k));
+      CandidateOptions options;
+      options.max_entities_per_cell = k;
+      options.min_entity_score = min_score;
+      TableCandidates reference = backends.ExpectMatches(table, options);
+      const std::vector<LemmaHit>& hits = reference.cells[0][0];
+      ASSERT_EQ(hits.size(), static_cast<size_t>(std::min(k, 18)));
+      EXPECT_EQ(hits[0].id, x);
+      EXPECT_EQ(hits[0].lemma_ord, 1);
+      if (k >= 2) {
+        EXPECT_EQ(hits[1].id, y);
+        EXPECT_EQ(hits[1].lemma_ord, 0);
+        EXPECT_EQ(hits[1].score, hits[0].score);
+      }
+    }
+  }
 }
 
 TEST_F(CandidateEquivalenceTest, BackendsAgreeBitwise) {

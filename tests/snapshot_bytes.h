@@ -77,6 +77,26 @@ inline void FixChecksum(std::vector<uint8_t>* bytes) {
               &checksum, sizeof(checksum));
 }
 
+/// Absolute offset of pair key `i` in a snapshot image's catalog
+/// section, and the number of keys.
+inline std::pair<uint64_t, uint64_t> PairKeysAt(
+    const std::vector<uint8_t>& bytes) {
+  const uint64_t section = SectionOffsetOf(bytes, storage::kCatalogSection);
+  const auto h = ReadPod<storage::CatalogHeader>(bytes, section);
+  return {section + h.pair_keys.offset, h.pair_keys.count};
+}
+
+/// Overwrites pair key `i` of a snapshot image with `key` and fixes the
+/// checksum: a hostile pair index that only the open-time key check can
+/// catch.
+inline void SetPairKey(std::vector<uint8_t>* bytes, uint64_t i,
+                       uint64_t key) {
+  const uint64_t keys = PairKeysAt(*bytes).first;
+  std::memcpy(bytes->data() + keys + i * sizeof(uint64_t), &key,
+              sizeof(key));
+  FixChecksum(bytes);
+}
+
 /// Reverses the order of `token`'s cell-token postings at `table` in
 /// a snapshot image and fixes the checksum. The writer lists a table's
 /// columns in ascending order; DeepValidate checks only table order, so

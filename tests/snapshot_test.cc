@@ -19,6 +19,7 @@
 #include "search/corpus_index.h"
 #include "storage/format.h"
 #include "storage/snapshot.h"
+#include "snapshot_bytes.h"
 #include "storage/snapshot_writer.h"
 #include "test_world.h"
 
@@ -472,6 +473,56 @@ TEST_F(SnapshotHostileTest, RejectsUnmirroredParentEdge) {
   ExpectValidatedRejects("self_parent.bin", hostile, "mirror");
 }
 
+/// Opens `bytes` both ways and expects each to fail with a ParseError
+/// naming the pair keys: subject runs are built at open, so plain Open
+/// checks the keys too.
+void ExpectPairKeysRejected(const std::string& name,
+                            const std::vector<uint8_t>& bytes,
+                            const std::string& what) {
+  std::string path = TempPath(name);
+  WriteBytes(path, bytes);
+  for (bool validated : {false, true}) {
+    Result<Snapshot> opened = validated ? Snapshot::OpenValidated(path)
+                                        : Snapshot::Open(path);
+    ASSERT_FALSE(opened.ok());
+    EXPECT_EQ(opened.status().code(), StatusCode::kParseError);
+    EXPECT_NE(opened.status().message().find(what), std::string::npos)
+        << opened.status().ToString();
+  }
+  std::remove(path.c_str());
+}
+
+TEST_F(SnapshotHostileTest, RejectsUnsortedPairKeys) {
+  // Swapping two keys breaks the order the per-subject runs assume.
+  std::vector<uint8_t> hostile = bytes_;
+  const auto [keys, count] = testing_util::PairKeysAt(hostile);
+  ASSERT_GE(count, 2u);
+  const uint64_t first = ReadPod<uint64_t>(hostile, keys);
+  const uint64_t second = ReadPod<uint64_t>(hostile, keys + 8);
+  testing_util::SetPairKey(&hostile, 0, second);
+  testing_util::SetPairKey(&hostile, 1, first);
+  ExpectPairKeysRejected("unsorted_pair_keys.bin", hostile, "pair keys");
+}
+
+TEST_F(SnapshotHostileTest, RejectsPairKeyEntityOutOfRange) {
+  // The last key keeps the array sorted but names subject
+  // num_entities, one past the per-subject offsets.
+  std::vector<uint8_t> hostile = bytes_;
+  const auto [keys, count] = testing_util::PairKeysAt(hostile);
+  ASSERT_GE(count, 1u);
+  const uint64_t num_entities =
+      static_cast<uint64_t>(SharedWorld().catalog.num_entities());
+  testing_util::SetPairKey(&hostile, count - 1, num_entities << 32);
+  ExpectPairKeysRejected("pair_key_out_of_range.bin", hostile, "pair keys");
+  // And an object half past the range.
+  hostile = bytes_;
+  const uint64_t last = ReadPod<uint64_t>(hostile, keys + (count - 1) * 8);
+  testing_util::SetPairKey(&hostile, count - 1,
+                           (last & ~uint64_t{0xFFFFFFFF}) | num_entities);
+  ExpectPairKeysRejected("pair_key_object_out_of_range.bin", hostile,
+                         "pair keys");
+}
+
 /// A catalog view reporting a consistent (mirrored) type cycle:
 /// parents(root) = [accomplice] on top of the base's accomplice->root
 /// edge. Serialized through SnapshotBuilder it yields a checksum-valid
@@ -564,10 +615,7 @@ class CycledCatalog : public CatalogView {
                                        EntityId e2) const override {
     return base_->SubjectsOf(b, e2);
   }
-  std::vector<std::pair<RelationId, bool>> RelationsBetween(
-      EntityId e1, EntityId e2) const override {
-    return base_->RelationsBetween(e1, e2);
-  }
+  PairIndex pair_index() const override { return base_->pair_index(); }
 
  private:
   const CatalogView* base_;

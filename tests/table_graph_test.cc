@@ -9,7 +9,10 @@
 
 #include "inference/belief_propagation.h"
 #include "inference/brute_force.h"
+#include "reference_phi3.h"
 #include "synth/corpus_generator.h"
+#include "synth/datasets.h"
+#include "synth/world_generator.h"
 #include "test_world.h"
 
 namespace webtab {
@@ -250,7 +253,7 @@ void AddPhi3Coverage(const CatalogView& catalog, Vocabulary* vocab,
     for (int r = 0; r < table.rows(); ++r) {
       const auto& ents = space.EntityDomain(r, c);
       if (ents.size() <= 1) continue;
-      column.FillTable(ents, &tab);
+      testing_util::FillTable(&column, types.size(), ents, &tab);
       for (size_t le = 1; le < ents.size(); ++le) {
         ++cov->fills;
         const auto direct = catalog.EntityDirectTypes(ents[le]);
@@ -392,6 +395,114 @@ TEST(Phi3HoistingTest, CorpusLabelSpacesMatchPerPairOracle) {
   EXPECT_LT(cov.rows, cov.fills);
   EXPECT_GT(cov.distinct_entities_sharing_a_row, 0);
   EXPECT_GT(cov.first_type_collisions, 0);
+}
+
+/// Every φ3 factor the structured build emits must equal, bit for bit,
+/// the retired emission (reference_phi3.h) over per-pair Phi3Log tables:
+/// the same representation and the same table, or the same entries and
+/// transpose. Counts the dense and sparse factors compared.
+void ExpectPhi3FactorsMatchReference(const CatalogView& catalog,
+                                     Vocabulary* vocab, const Table& table,
+                                     const TableLabelSpace& space,
+                                     int64_t* dense, int64_t* sparse) {
+  const Weights w = Weights::Default();
+  ClosureCache closure(&catalog);
+  FeatureComputer features(&closure, vocab);
+  ClosureCache oracle_closure(&catalog);
+  FeatureComputer oracle(&oracle_closure, vocab);
+  TableGraph tg = BuildTableGraph(table, space, &features, w);
+
+  std::map<std::pair<int, int>, int> phi3_factor;
+  for (int f = 0; f < tg.graph.num_factors(); ++f) {
+    const FactorGraph::Factor factor = tg.graph.factor(f);
+    if (factor.group != kGroupPhi3) continue;
+    phi3_factor[{factor.vars[0], factor.vars[1]}] = f;
+  }
+  auto same_entries = [](std::span<const FactorGraph::SparseEntry> got,
+                         const std::vector<FactorGraph::SparseEntry>& want) {
+    if (got.size() != want.size()) return false;
+    for (size_t i = 0; i < got.size(); ++i) {
+      if (got[i].l0 != want[i].l0 || got[i].l1 != want[i].l1 ||
+          std::bit_cast<uint64_t>(got[i].value) !=
+              std::bit_cast<uint64_t>(want[i].value)) {
+        return false;
+      }
+    }
+    return true;
+  };
+  for (int c = 0; c < table.cols(); ++c) {
+    const int tv = tg.type_var[c];
+    if (tv < 0) continue;
+    const auto types = space.TypeDomain(c);
+    for (int r = 0; r < table.rows(); ++r) {
+      const int ev = tg.entity_var[r][c];
+      if (ev < 0) continue;
+      auto it = phi3_factor.find({tv, ev});
+      ASSERT_NE(it, phi3_factor.end()) << "cell " << r << "," << c;
+      const auto ents = space.EntityDomain(r, c);
+      std::vector<double> tab(types.size() * ents.size(), 0.0);
+      for (size_t lt = 1; lt < types.size(); ++lt) {
+        for (size_t le = 1; le < ents.size(); ++le) {
+          tab[lt * ents.size() + le] = oracle.Phi3Log(w, types[lt], ents[le]);
+        }
+      }
+      const testing_util::ExpectedPhi3 want = testing_util::ReferenceEmitPhi3(
+          std::move(tab), types.size(), ents.size());
+      const FactorGraph::Factor got = tg.graph.factor(it->second);
+      ASSERT_EQ(got.rep, want.rep) << "cell " << r << "," << c;
+      if (want.rep == FactorGraph::FactorRep::kDense) {
+        ++*dense;
+        ASSERT_EQ(got.table.size(), want.table.size());
+        for (size_t i = 0; i < want.table.size(); ++i) {
+          ASSERT_EQ(std::bit_cast<uint64_t>(got.table[i]),
+                    std::bit_cast<uint64_t>(want.table[i]))
+              << "cell " << r << "," << c << " index " << i;
+        }
+      } else {
+        ++*sparse;
+        EXPECT_EQ(got.default_log, 0.0);
+        EXPECT_TRUE(same_entries(got.entries, want.entries))
+            << "cell " << r << "," << c;
+        EXPECT_TRUE(same_entries(got.entries_t, want.entries_t))
+            << "cell " << r << "," << c;
+      }
+    }
+  }
+}
+
+// The φ3 emitter builds factors straight from Phi3Column's shared rows
+// and their non-zero lists; on the paper-default world's Figure 5 sets
+// and the first Figure 9 corpus tables every factor matches the retired
+// table scan, in both representations.
+TEST(Phi3EmitTest, FactorsMatchRetiredEmissionOnFig5AndFig9Tables) {
+  WorldSpec world_spec;
+  world_spec.seed = 42;
+  const World world = GenerateWorld(world_spec);
+  LemmaIndex index(&world.catalog);
+  std::vector<Table> tables;
+  const Datasets fig5 = MakeDatasets(world, 0.02);
+  for (const auto* set : {&fig5.wiki_manual, &fig5.web_manual,
+                          &fig5.web_relations, &fig5.wiki_link}) {
+    for (const LabeledTable& lt : *set) tables.push_back(lt.table);
+  }
+  CorpusSpec corpus_spec;
+  corpus_spec.seed = 51;
+  corpus_spec.num_tables = 60;
+  for (const LabeledTable& lt : GenerateCorpus(world, corpus_spec)) {
+    tables.push_back(lt.table);
+  }
+  ClosureCache closure(&world.catalog);
+  int64_t dense = 0, sparse = 0;
+  for (size_t i = 0; i < tables.size(); ++i) {
+    SCOPED_TRACE("table " + std::to_string(i));
+    TableCandidates candidates = GenerateCandidates(
+        tables[i], index, &closure, CandidateOptions());
+    ExpectPhi3FactorsMatchReference(
+        world.catalog, index.vocabulary(), tables[i],
+        TableLabelSpace::Build(tables[i], candidates), &dense, &sparse);
+  }
+  EXPECT_GT(dense, 100);
+  EXPECT_GT(sparse, 100);
 }
 
 }  // namespace

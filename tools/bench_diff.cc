@@ -72,7 +72,8 @@ const std::vector<BenchSpec>& Specs() {
         {"byte_identical_verified", Direction::kBoolTrue}}},
       {"annotate_parallel",
        {{"annotations_identical", Direction::kBoolTrue},
-        {"speedup_4threads", Direction::kHigherBetter}}},
+        {"speedup_4threads", Direction::kHigherBetter},
+        {"allocations_per_table", Direction::kLowerBetter}}},
       {"snapshot_load",
        {{"speedup", Direction::kHigherBetter},
         {"speedup_noverify", Direction::kHigherBetter}}},
